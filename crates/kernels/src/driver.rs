@@ -35,16 +35,16 @@
 //! serial-core call and returned at the end, so the cache-block loop nest —
 //! and every subsequent kernel call on the same thread (or Rayon worker) —
 //! reuses one pair of allocations instead of reallocating per panel.
-//! [`pack_buffer_growth_events`] counts how often a buffer actually had to
-//! grow, which tests use to assert the steady state allocates nothing.
+//! [`pack_buffer_growth_events`] counts how often a buffer on the calling
+//! thread actually had to grow, which tests use to assert the steady state
+//! allocates nothing.
 
 use crate::config::{BlockConfig, TileVariant, MAX_TILE_ACC};
 use crate::microkernel::microkernel;
 use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len};
 use lamb_matrix::MatrixViewMut;
 use rayon::prelude::*;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 
 thread_local! {
     /// Per-thread packed-panel scratch: `(a_pack, b_pack)`. Taken (moved out)
@@ -52,21 +52,25 @@ thread_local! {
     /// reentrant call through an element accessor can never hit a `RefCell`
     /// double-borrow — it simply starts from empty buffers.
     static PACK_SCRATCH: RefCell<Option<(Vec<f64>, Vec<f64>)>> = const { RefCell::new(None) };
+
+    /// Per-thread count of packed-buffer growth events (a pack call that had
+    /// to enlarge this thread's `PACK_SCRATCH`); see
+    /// [`pack_buffer_growth_events`].
+    static PACK_GROWTH_EVENTS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Global count of packed-buffer growth events (a pack call that had to
-/// enlarge its scratch allocation). Monotonically increasing across all
-/// threads; see [`pack_buffer_growth_events`].
-static PACK_GROWTH_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of times any packing buffer had to grow since process start.
+/// Number of times a packing buffer of the *calling thread* had to grow
+/// since the thread started.
 ///
-/// After a warm-up call of a given shape, further kernel calls of the same
-/// (or smaller) blocking reuse the thread-local scratch and this counter
-/// stays flat — the property the allocation-reuse regression test pins down.
+/// The counter is thread-local, like the scratch it counts: growth on other
+/// threads (including the Rayon workers of a parallel call) does not show
+/// here. After a warm-up call of a given shape, further serial kernel calls
+/// of the same (or smaller) blocking on the same thread reuse the scratch
+/// and this counter stays flat — the property the allocation-reuse
+/// regression test pins down.
 #[must_use]
 pub fn pack_buffer_growth_events() -> u64 {
-    PACK_GROWTH_EVENTS.load(Ordering::Relaxed)
+    PACK_GROWTH_EVENTS.with(Cell::get)
 }
 
 /// `C := beta * C` over a view, with the BLAS convention that `beta == 0`
@@ -180,14 +184,14 @@ impl<'a> BlockedDriver<'a> {
             while pc < k {
                 let kcb = kc.min(k - pc);
                 if b_pack.capacity() < packed_b_len(NR, kcb, ncb) {
-                    PACK_GROWTH_EVENTS.fetch_add(1, Ordering::Relaxed);
+                    PACK_GROWTH_EVENTS.with(|n| n.set(n.get() + 1));
                 }
                 pack_b(NR, kcb, ncb, |p, j| load_b(pc + p, jc + j), &mut b_pack);
                 let mut ic = 0;
                 while ic < m {
                     let mcb = mc.min(m - ic);
                     if a_pack.capacity() < packed_a_len(MR, mcb, kcb) {
-                        PACK_GROWTH_EVENTS.fetch_add(1, Ordering::Relaxed);
+                        PACK_GROWTH_EVENTS.with(|n| n.set(n.get() + 1));
                     }
                     pack_a(MR, mcb, kcb, |i, p| load_a(ic + i, pc + p), &mut a_pack);
                     macro_kernel::<MR, NR>(

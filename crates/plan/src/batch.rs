@@ -1,7 +1,7 @@
 //! Batched planning: many expressions, one warm calibration, aggregate
 //! statistics.
 //!
-//! The single-expression [`Planner`] answers "which algorithm
+//! The single-expression [`Planner`](crate::Planner) answers "which algorithm
 //! should evaluate *this* instance?". Production traffic asks a different
 //! question: given thousands of expression instances, plan them all, as fast
 //! as possible, against calibration data that was paid for **once**. That is
@@ -23,14 +23,13 @@
 //! and of whether the cache started cold or warm — a warm start only makes
 //! them *faster*.
 
-use crate::cache::{CachingExecutor, PredictionCache};
-use crate::factor_cache::{effective_flops, FactorCache, ReuseAwareExecutor};
+use crate::cache::PredictionCache;
+use crate::factor_cache::FactorCache;
 use crate::plan::{Plan, PlanError};
-use crate::planner::Planner;
+use crate::planner::{note_resident, settings_builders, Settings};
 use lamb_expr::{cacheable_identities, ParseError, TreeExpression};
-use lamb_perfmodel::{CalibrationStore, CallTimeTable, Executor, FactorStore, SimulatedExecutor};
+use lamb_perfmodel::{CalibrationStore, CallTimeTable, Executor, FactorStore};
 use lamb_select::{MinPredictedTime, SelectionPolicy, Strategy};
-use rayon::prelude::*;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -216,9 +215,10 @@ impl BatchOutcome {
 }
 
 /// Plans whole slices of parsed expressions against one shared, sharded
-/// prediction cache. The builder mirrors [`Planner`]; the default policy is
-/// `MinPredictedTime`, because batch serving exists precisely to exploit
-/// measured kernel performance.
+/// prediction cache. It holds the same settings as a
+/// [`Planner`](crate::Planner) and runs the same pipeline; the default
+/// policy is `MinPredictedTime`, because batch serving exists precisely to
+/// exploit measured kernel performance.
 ///
 /// ```
 /// use lamb_plan::{BatchPlanner, BatchRequest};
@@ -233,13 +233,7 @@ impl BatchOutcome {
 /// assert_eq!(outcome.stats.predicted_anomalies, 1); // A*A^T*B at (80,514,768)
 /// ```
 pub struct BatchPlanner {
-    policy: Arc<dyn SelectionPolicy>,
-    factory: Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>,
-    threshold: f64,
-    top_k: Option<usize>,
-    cache: Arc<PredictionCache>,
-    use_cse: bool,
-    factor_cache: Option<Arc<FactorCache>>,
+    settings: Settings,
 }
 
 impl Default for BatchPlanner {
@@ -255,23 +249,11 @@ impl BatchPlanner {
     #[must_use]
     pub fn new() -> Self {
         BatchPlanner {
-            policy: Arc::new(MinPredictedTime),
-            factory: Arc::new(|| Box::new(SimulatedExecutor::paper_like())),
-            threshold: 0.10,
-            top_k: None,
-            cache: Arc::new(PredictionCache::new()),
-            use_cse: true,
-            factor_cache: None,
+            settings: Settings::new(Arc::new(MinPredictedTime)),
         }
     }
 
-    /// Enable or disable common-subexpression elimination over every
-    /// request's enumerated algorithms (on by default; `--no-cse` ablation).
-    #[must_use]
-    pub fn cse(mut self, enabled: bool) -> Self {
-        self.use_cse = enabled;
-        self
-    }
+    settings_builders!();
 
     /// Attach a [`FactorCache`] shared across the whole batch: after the
     /// parallel planning pass, plans are re-scored in input order against
@@ -281,7 +263,7 @@ impl BatchPlanner {
     /// and batch results are bit-identical across runs and worker counts.
     #[must_use]
     pub fn factor_cache(mut self, cache: Arc<FactorCache>) -> Self {
-        self.factor_cache = Some(cache);
+        self.settings.factor_cache = Some(cache);
         self
     }
 
@@ -289,93 +271,7 @@ impl BatchPlanner {
     /// reuse is disabled).
     #[must_use]
     pub fn factor_cache_len(&self) -> usize {
-        self.factor_cache.as_ref().map_or(0, |fc| fc.len())
-    }
-
-    /// Use `policy` to choose among each request's algorithms.
-    #[must_use]
-    pub fn policy(mut self, policy: impl SelectionPolicy + 'static) -> Self {
-        self.policy = Arc::new(policy);
-        self
-    }
-
-    /// Use the built-in policy named by `strategy`.
-    #[must_use]
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.policy = Arc::from(strategy.to_policy());
-        self
-    }
-
-    /// Time algorithms with executors built by `factory` (one per worker).
-    #[must_use]
-    pub fn executor_factory(
-        mut self,
-        factory: impl Fn() -> Box<dyn Executor> + Send + Sync + 'static,
-    ) -> Self {
-        self.factory = Arc::new(factory);
-        self
-    }
-
-    /// Anomaly time-score threshold (paper: 10% / 5%).
-    #[must_use]
-    pub fn threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Keep only the `k` FLOP-cheapest algorithms per request (essential for
-    /// long chains, whose algorithm count grows factorially).
-    #[must_use]
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.top_k = Some(k.max(1));
-        self
-    }
-
-    /// Warm-start the shared cache from a persisted calibration store. When
-    /// the store carries an autotuned block configuration
-    /// ([`CalibrationStore::tuned_block_config`]), pair this with an
-    /// [`BatchPlanner::executor_factory`] that builds its measured executors
-    /// under that configuration, so cached timings and fresh benchmarks
-    /// describe the same blocking.
-    #[must_use]
-    pub fn with_store(self, store: &CalibrationStore) -> Self {
-        self.cache.preload(&store.calls);
-        self
-    }
-
-    /// Share an existing cache (e.g. with single-expression [`Planner`]s).
-    #[must_use]
-    pub fn shared_cache(mut self, cache: Arc<PredictionCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// `(hits, misses)` of the shared prediction cache since construction.
-    #[must_use]
-    pub fn cache_stats(&self) -> (usize, usize) {
-        self.cache.stats()
-    }
-
-    /// Export the cache contents (preloaded plus newly benchmarked calls),
-    /// e.g. to merge back into a calibration store.
-    #[must_use]
-    pub fn snapshot_cache(&self) -> CallTimeTable {
-        self.cache.snapshot()
-    }
-
-    /// The [`Planner`] this batch planner applies to one request.
-    fn planner_for<'e>(&self, expr: &'e TreeExpression) -> Planner<'e> {
-        let factory = Arc::clone(&self.factory);
-        let mut planner = Planner::for_expression(expr)
-            .shared_policy(Arc::clone(&self.policy))
-            .shared_cache(Arc::clone(&self.cache))
-            .cse(self.use_cse)
-            .threshold(self.threshold)
-            .executor_factory(move || factory());
-        if let Some(k) = self.top_k {
-            planner = planner.top_k(k);
-        }
-        planner
+        self.settings.factor_cache.as_ref().map_or(0, |fc| fc.len())
     }
 
     /// Plan every request, fanning out across rayon workers: the slice is
@@ -390,36 +286,16 @@ impl BatchPlanner {
     #[must_use]
     pub fn plan_batch(&self, requests: &[BatchRequest]) -> BatchOutcome {
         let start = Instant::now();
-        let (hits_before, misses_before) = self.cache.stats();
-        let mut results: Vec<Result<Plan, PlanError>> = if requests.is_empty() {
-            Vec::new()
-        } else {
-            let workers = rayon::current_num_threads().clamp(1, requests.len());
-            let chunk_size = requests.len().div_ceil(workers);
-            let spans: Vec<(usize, usize)> = (0..requests.len())
-                .step_by(chunk_size)
-                .map(|lo| (lo, (lo + chunk_size).min(requests.len())))
-                .collect();
-            let per_chunk: Vec<Vec<Result<Plan, PlanError>>> = spans
-                .into_par_iter()
-                .map(|(lo, hi)| {
-                    let mut executor = (self.factory)();
-                    requests[lo..hi]
-                        .iter()
-                        .map(|req| {
-                            self.planner_for(&req.expr)
-                                .plan_with(&req.dims, executor.as_mut())
-                        })
-                        .collect()
-                })
-                .collect();
-            per_chunk.into_iter().flatten().collect()
-        };
-        if let Some(fc) = &self.factor_cache {
-            self.rescore_with_factor_reuse(fc, &mut results);
+        let settings = &self.settings;
+        let (hits_before, misses_before) = settings.cache.stats();
+        let mut results = settings.fan_out(requests, |req, executor| {
+            settings.plan(&req.expr, &req.dims, executor, None)
+        });
+        if let Some(fc) = &settings.factor_cache {
+            self.rescore_with_factor_reuse(fc.as_ref(), &mut results);
         }
         let elapsed_seconds = start.elapsed().as_secs_f64();
-        let (hits_after, misses_after) = self.cache.stats();
+        let (hits_after, misses_after) = settings.cache.stats();
 
         let mut stats = BatchStats {
             requests: requests.len(),
@@ -428,7 +304,7 @@ impl BatchPlanner {
             predicted_anomalies: 0,
             cache_hits: hits_after - hits_before,
             cache_misses: misses_after - misses_before,
-            distinct_calls: self.cache.len(),
+            distinct_calls: settings.cache.len(),
             chosen_predicted_seconds: 0.0,
             flop_optimal_predicted_seconds: 0.0,
             elapsed_seconds,
@@ -459,13 +335,11 @@ impl BatchPlanner {
     /// for the requests that follow.
     fn rescore_with_factor_reuse(
         &self,
-        fc: &Arc<FactorCache>,
+        store: &dyn FactorStore,
         results: &mut [Result<Plan, PlanError>],
     ) {
-        let store: &dyn FactorStore = fc.as_ref();
-        let mut executor = (self.factory)();
-        for result in results.iter_mut() {
-            let Ok(plan) = result.as_mut() else { continue };
+        let mut executor = (self.settings.factory)();
+        for plan in results.iter_mut().filter_map(|r| r.as_mut().ok()) {
             // Fast path: a plan none of whose candidates can reuse anything
             // resident keeps its phase-one scores untouched.
             let any_resident = plan.algorithms.iter().any(|alg| {
@@ -474,25 +348,15 @@ impl BatchPlanner {
                     .any(|(_, _, identity)| store.contains(identity))
             });
             if any_resident {
-                let mut caching = CachingExecutor::new(executor.as_mut(), &self.cache);
-                let mut reuse = ReuseAwareExecutor::new(&mut caching, store);
-                for index in 0..plan.algorithms.len() {
-                    let rescored_flops = effective_flops(&plan.algorithms[index], store);
-                    let rescored_seconds = plan.scores[index].predicted_seconds.map(|_| {
-                        reuse
-                            .predict_from_isolated_calls(&plan.algorithms[index])
-                            .seconds
-                    });
-                    plan.scores[index].flops = rescored_flops;
-                    plan.scores[index].predicted_seconds = rescored_seconds;
-                }
-                if let Ok(chosen) = self.policy.select(&plan.algorithms, &mut reuse) {
+                if let Ok((scores, chosen)) =
+                    self.settings
+                        .score_and_select(&plan.algorithms, executor.as_mut(), Some(store))
+                {
+                    plan.scores = scores;
                     plan.chosen = chosen;
                 }
             }
-            for (_, _, identity) in cacheable_identities(&plan.algorithms[plan.chosen]) {
-                store.note(&identity);
-            }
+            note_resident(store, plan.chosen_algorithm());
         }
     }
 }
@@ -500,6 +364,7 @@ impl BatchPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Planner;
     use lamb_select::MinFlops;
 
     fn requests() -> Vec<BatchRequest> {
@@ -729,6 +594,45 @@ mod tests {
             potrfs += report.executed("potrf");
         }
         assert_eq!((getrfs, potrfs), (1, 1));
+    }
+
+    #[test]
+    fn factor_reuse_batches_match_sequential_planning_in_input_order() {
+        // A solve_reuse-like mix: three solves against one SPD operand S,
+        // then an LU solve, a least-squares solve and a plain chain.
+        let reqs = BatchRequest::parse_file(
+            "S[spd]^-1*B 96 12\n\
+             S[spd]^-1*B 96 8\n\
+             S[spd]^-1*B 96 20\n\
+             A^-1*B*C 80 30 20\n\
+             A^+*B*C 48 64 24 16\n\
+             A*B*C*D 60 20 90 30 40\n",
+        )
+        .unwrap();
+        let batch = BatchPlanner::new()
+            .factor_cache(Arc::new(FactorCache::new()))
+            .plan_batch(&reqs);
+        let sequential_factors = Arc::new(FactorCache::new());
+        let sequential: Vec<Plan> = reqs
+            .iter()
+            .map(|req| {
+                Planner::for_expression(&req.expr)
+                    .policy(MinPredictedTime)
+                    .factor_cache(Arc::clone(&sequential_factors))
+                    .plan(&req.dims)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(batch.stats.planned, reqs.len());
+        for (i, (b, s)) in batch.plans().zip(&sequential).enumerate() {
+            assert_eq!(b.algorithms, s.algorithms, "request {i}");
+            assert_eq!(b.scores, s.scores, "request {i}");
+            assert_eq!(b.chosen, s.chosen, "request {i}");
+        }
+        // The later solves against S really were re-scored against its
+        // resident factor.
+        let plans: Vec<&Plan> = batch.plans().collect();
+        assert!(plans[1].chosen_score().flops < plans[1].chosen_algorithm().flops());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! cleared), so one cache can be shared by all algorithms, instances and
 //! worker threads of a planner.
 //!
-//! The table is **sharded**: entries are distributed over a fixed set of
-//! independently locked shards by the hash of their timing key, so the many
+//! The table is the crate's one sharded map (`Sharded`): entries are
+//! distributed over a fixed set of independently locked shards by the hash
+//! of their timing key, so the many
 //! worker threads of a batched planning run ([`crate::BatchPlanner`],
 //! [`crate::Planner::plan_grid`]) do not serialise on a single mutex. A cache
 //! can be **warm-started** from a persisted
@@ -20,28 +21,14 @@
 //! [`PredictionCache::preload`] and exported back with
 //! [`PredictionCache::snapshot`].
 
-use lamb_expr::{Algorithm, KernelOp};
-use lamb_perfmodel::{AlgorithmTiming, CallTimeTable, CallTiming, Executor, MachineModel};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
-
-/// Number of independently locked shards; a small power of two well above
-/// the worker counts rayon uses on typical machines.
-const SHARD_COUNT: usize = 16;
+use crate::sharded::Sharded;
+use lamb_expr::Algorithm;
+use lamb_perfmodel::{AlgorithmTiming, CallTimeTable, Executor, MachineModel};
 
 /// A thread-safe, sharded memo table of isolated-call benchmark times.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PredictionCache {
-    shards: [Mutex<CallTimeTable>; SHARD_COUNT],
-}
-
-impl Default for PredictionCache {
-    fn default() -> Self {
-        PredictionCache {
-            shards: std::array::from_fn(|_| Mutex::new(CallTimeTable::new())),
-        }
-    }
+    tables: Sharded<CallTimeTable>,
 }
 
 impl PredictionCache {
@@ -60,13 +47,6 @@ impl PredictionCache {
         cache
     }
 
-    /// The shard responsible for `key` (which must already be a timing key).
-    fn shard(&self, key: &KernelOp) -> &Mutex<CallTimeTable> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
-    }
-
     /// Insert every entry of `table` (later entries win over earlier ones
     /// with the same timing key). Hit/miss counters are unaffected.
     ///
@@ -79,10 +59,7 @@ impl PredictionCache {
     pub fn preload(&self, table: &CallTimeTable) {
         for (op, seconds) in table.entries() {
             let key = op.timing_key();
-            self.shard(&key)
-                .lock()
-                .expect("cache poisoned")
-                .insert(key, seconds);
+            self.tables.lock(&key).insert(key, seconds);
         }
     }
 
@@ -92,8 +69,8 @@ impl PredictionCache {
     #[must_use]
     pub fn snapshot(&self) -> CallTimeTable {
         let mut merged = CallTimeTable::new();
-        for shard in &self.shards {
-            merged.merge_from(&shard.lock().expect("cache poisoned"));
+        for table in self.tables.lock_each() {
+            merged.merge_from(&table);
         }
         merged
     }
@@ -112,45 +89,18 @@ impl PredictionCache {
         index: usize,
     ) -> f64 {
         let key = alg.calls[index].op.timing_key();
-        let shard = self.shard(&key);
-        if let Some(t) = shard.lock().expect("cache poisoned").lookup(&key) {
+        if let Some(t) = self.tables.lock(&key).lookup(&key) {
             return t;
         }
         let t = executor.time_isolated_call(alg, index);
-        shard.lock().expect("cache poisoned").insert(key, t);
+        self.tables.lock(&key).insert(key, t);
         t
-    }
-
-    /// Predict `alg`'s time as the sum of its (cached) isolated-call
-    /// benchmarks — the cached equivalent of
-    /// [`Executor::predict_from_isolated_calls`].
-    pub fn predict(&self, executor: &mut dyn Executor, alg: &Algorithm) -> AlgorithmTiming {
-        let per_call: Vec<CallTiming> = alg
-            .calls
-            .iter()
-            .enumerate()
-            .map(|(i, call)| CallTiming {
-                index: i,
-                label: call.label.clone(),
-                flops: call.flops(),
-                seconds: self.cached_isolated_call(executor, alg, i),
-            })
-            .collect();
-        AlgorithmTiming {
-            algorithm_name: alg.name.clone(),
-            seconds: per_call.iter().map(|c| c.seconds).sum(),
-            per_call,
-            flops: alg.flops(),
-        }
     }
 
     /// Number of distinct timing keys benchmarked (or preloaded) so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache poisoned").len())
-            .sum()
+        self.tables.lock_each().map(|t| t.len()).sum()
     }
 
     /// Whether nothing has been benchmarked yet.
@@ -163,9 +113,9 @@ impl PredictionCache {
     /// benchmarking the memoisation avoided.
     #[must_use]
     pub fn stats(&self) -> (usize, usize) {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache poisoned").stats())
+        self.tables
+            .lock_each()
+            .map(|t| t.stats())
             .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
     }
 }
@@ -216,13 +166,21 @@ mod tests {
     use lamb_expr::enumerate_aatb_algorithms;
     use lamb_perfmodel::SimulatedExecutor;
 
+    fn predict(
+        cache: &PredictionCache,
+        executor: &mut dyn Executor,
+        alg: &Algorithm,
+    ) -> AlgorithmTiming {
+        CachingExecutor::new(executor, cache).predict_from_isolated_calls(alg)
+    }
+
     #[test]
     fn cached_prediction_equals_uncached_prediction() {
         let cache = PredictionCache::new();
         let mut cached_exec = SimulatedExecutor::paper_like();
         let mut plain_exec = SimulatedExecutor::paper_like();
         for alg in enumerate_aatb_algorithms(80, 514, 768) {
-            let cached = cache.predict(&mut cached_exec, &alg);
+            let cached = predict(&cache, &mut cached_exec, &alg);
             let plain = plain_exec.predict_from_isolated_calls(&alg);
             assert_eq!(cached.seconds, plain.seconds, "{}", alg.name);
             assert_eq!(cached.per_call, plain.per_call, "{}", alg.name);
@@ -235,11 +193,11 @@ mod tests {
         let mut exec = SimulatedExecutor::paper_like();
         let algs = enumerate_aatb_algorithms(100, 200, 300);
         for alg in &algs {
-            cache.predict(&mut exec, alg);
+            predict(&cache, &mut exec, alg);
         }
         let (_, misses_first) = cache.stats();
         for alg in &algs {
-            cache.predict(&mut exec, alg);
+            predict(&cache, &mut exec, alg);
         }
         let (hits, misses) = cache.stats();
         assert_eq!(misses, misses_first, "second pass must not re-benchmark");
@@ -256,7 +214,7 @@ mod tests {
         let algs = enumerate_aatb_algorithms(120, 340, 560);
         let baseline: Vec<f64> = algs
             .iter()
-            .map(|a| first.predict(&mut exec, a).seconds)
+            .map(|a| predict(&first, &mut exec, a).seconds)
             .collect();
         let snapshot = first.snapshot();
         assert_eq!(snapshot.len(), first.len());
@@ -265,7 +223,7 @@ mod tests {
         assert_eq!(warmed.len(), first.len());
         let warm_predictions: Vec<f64> = algs
             .iter()
-            .map(|a| warmed.predict(&mut exec, a).seconds)
+            .map(|a| predict(&warmed, &mut exec, a).seconds)
             .collect();
         for (cold, warm) in baseline.iter().zip(&warm_predictions) {
             assert_eq!(cold.to_bits(), warm.to_bits());

@@ -1,11 +1,10 @@
 //! The batch-level factor cache and the reuse-aware scoring executor.
 //!
 //! [`FactorCache`] is the planner-side implementation of
-//! [`FactorStore`]: a sharded, mutex-guarded map
-//! from canonical node identities ([`lamb_expr::node_identities`]) to
-//! computed factors — the same sharding scheme as
-//! [`PredictionCache`](crate::PredictionCache), so the many workers of a
-//! batch run do not serialise on one lock. Shared across a
+//! [`FactorStore`]: a map from canonical node identities
+//! ([`lamb_expr::node_identities`]) to computed factors, held in the same
+//! sharded map (`Sharded`) as [`PredictionCache`](crate::PredictionCache),
+//! so the many workers of a batch run do not serialise on one lock. Shared across a
 //! [`BatchPlanner`](crate::BatchPlanner) batch it carries factor residency
 //! *between requests*: once one request's chosen algorithm factors an SPD
 //! operand, every later solve against the same operand starts warm.
@@ -19,16 +18,12 @@
 //! [`CachingExecutor`](crate::CachingExecutor), so everything else still
 //! memoises through the prediction cache.
 
+use crate::sharded::Sharded;
 use lamb_expr::{cacheable_identities, Algorithm};
 use lamb_matrix::Matrix;
 use lamb_perfmodel::{AlgorithmTiming, Executor, FactorStore, MachineModel};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
-
-/// Number of independently locked shards (mirrors `PredictionCache`).
-const SHARD_COUNT: usize = 16;
+use std::sync::Arc;
 
 /// One shard: identity → resident factor (`None` = noted, bytes not held).
 #[derive(Debug, Default)]
@@ -39,17 +34,9 @@ struct Shard {
 
 /// A thread-safe, sharded store of computed factors keyed by canonical node
 /// identity, shared across the requests of a batch.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FactorCache {
-    shards: [Mutex<Shard>; SHARD_COUNT],
-}
-
-impl Default for FactorCache {
-    fn default() -> Self {
-        FactorCache {
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-        }
-    }
+    shards: Sharded<Shard>,
 }
 
 impl FactorCache {
@@ -59,20 +46,10 @@ impl FactorCache {
         FactorCache::default()
     }
 
-    /// The shard responsible for `key`.
-    fn shard(&self, key: &str) -> &Mutex<Shard> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
-    }
-
     /// Number of resident identities (noted or held).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("factor cache poisoned").entries.len())
-            .sum()
+        self.shards.lock_each().map(|s| s.entries.len()).sum()
     }
 
     /// Whether nothing is resident yet.
@@ -85,23 +62,18 @@ impl FactorCache {
     /// recomputed).
     #[must_use]
     pub fn hits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("factor cache poisoned").hits)
-            .sum()
+        self.shards.lock_each().map(|s| s.hits).sum()
     }
 
     /// Total bytes of the factors whose contents are held.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         self.shards
-            .iter()
+            .lock_each()
             .map(|s| {
-                s.lock()
-                    .expect("factor cache poisoned")
-                    .entries
+                s.entries
                     .values()
-                    .filter_map(|e| e.as_ref())
+                    .flatten()
                     .map(|m| (m.len() * 8) as u64)
                     .sum::<u64>()
             })
@@ -111,7 +83,7 @@ impl FactorCache {
 
 impl FactorStore for FactorCache {
     fn lookup(&self, key: &str) -> Option<Arc<Matrix>> {
-        let mut shard = self.shard(key).lock().expect("factor cache poisoned");
+        let mut shard = self.shards.lock(key);
         let found = shard.entries.get(key).and_then(Clone::clone);
         if found.is_some() {
             shard.hits += 1;
@@ -120,26 +92,20 @@ impl FactorStore for FactorCache {
     }
 
     fn store(&self, key: &str, value: Arc<Matrix>) {
-        self.shard(key)
-            .lock()
-            .expect("factor cache poisoned")
+        self.shards
+            .lock(key)
             .entries
             .insert(key.to_string(), Some(value));
     }
 
     fn contains(&self, key: &str) -> bool {
-        self.shard(key)
-            .lock()
-            .expect("factor cache poisoned")
-            .entries
-            .contains_key(key)
+        self.shards.lock(key).entries.contains_key(key)
     }
 
     fn note(&self, key: &str) {
         // Never downgrade held bytes to a bare note.
-        self.shard(key)
-            .lock()
-            .expect("factor cache poisoned")
+        self.shards
+            .lock(key)
             .entries
             .entry(key.to_string())
             .or_insert(None);

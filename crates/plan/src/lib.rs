@@ -36,6 +36,11 @@
 //!   [`Planner::plan_grid`] for a batched sweep fanned out across worker
 //!   threads, [`Planner::predict_instance`] for Experiment-3-style predicted
 //!   verdicts.
+//! * [`BatchPlanner`] / [`BatchRequest`] — the batch-serving front end:
+//!   parse a whole file of expression instances, fan them out across rayon
+//!   workers against the shared cache, and report aggregate [`BatchStats`]
+//!   (cache hit rate, predicted versus FLOP-optimal time, anomaly count).
+//!   "Calibrate once, plan many."
 //! * [`Plan`] — the enumerated algorithm set with per-algorithm
 //!   [`AlgorithmScore`]s and the policy's chosen index;
 //!   [`Plan::execute`] / [`Plan::execute_with`] time every algorithm and
@@ -54,11 +59,13 @@
 //!   batch, with a reuse-aware scoring wrapper that zeroes the predicted
 //!   cost of resident factors so `MinPredictedTime` prefers shared-factor
 //!   algorithms.
-//! * [`BatchPlanner`] / [`BatchRequest`] — the batch-serving front end:
-//!   parse a whole file of expression instances, fan them out across rayon
-//!   workers against the shared cache, and report aggregate [`BatchStats`]
-//!   (cache hit rate, predicted versus FLOP-optimal time, anomaly count).
-//!   "Calibrate once, plan many."
+//!
+//! [`Planner`] and [`BatchPlanner`] hold one settings value and run one
+//! pipeline under it (validate, enumerate and CSE, deduplicate, verify in
+//! debug builds, score, select) with an optional factor store. Scoring is
+//! one function, `plan_grid` and `plan_batch` share one fan-out, and both
+//! caches wrap one sharded map (`Sharded<S>`), the only code that creates
+//! shards, routes keys to them or handles a poisoned lock.
 //!
 //! [`Classification`]: lamb_select::Classification
 
@@ -70,6 +77,7 @@ pub mod cache;
 pub mod factor_cache;
 mod plan;
 mod planner;
+mod sharded;
 
 pub use batch::{BatchOutcome, BatchParseError, BatchPlanner, BatchRequest, BatchStats};
 pub use cache::{CachingExecutor, PredictionCache};

@@ -2,6 +2,7 @@
 //! executed and judged.
 
 use crate::cache::PredictionCache;
+use crate::planner::ExecutorFactory;
 use lamb_expr::{Algorithm, GenerateError};
 use lamb_perfmodel::{AlgorithmTiming, Executor};
 use lamb_select::{AlgorithmMeasurement, Classification, InstanceEvaluation, SelectError};
@@ -91,7 +92,7 @@ pub struct Plan {
     /// call sequence along different paths).
     pub duplicates_removed: usize,
     pub(crate) threshold: f64,
-    pub(crate) factory: Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>,
+    pub(crate) factory: ExecutorFactory,
     pub(crate) cache: Arc<PredictionCache>,
 }
 
@@ -137,7 +138,7 @@ impl Plan {
         self.scores
             .iter()
             .filter_map(|s| s.predicted_seconds)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite predictions"))
+            .min_by(f64::total_cmp)
     }
 
     /// The anomaly time-score threshold this plan was made under.

@@ -1,5 +1,5 @@
-//! The builder-style [`Planner`]: one pipeline from expression instance to
-//! selected algorithm.
+//! The builder-style [`Planner`], and the one planning pipeline it shares
+//! with [`BatchPlanner`](crate::BatchPlanner).
 
 use crate::cache::{CachingExecutor, PredictionCache};
 use crate::factor_cache::{effective_flops, FactorCache, ReuseAwareExecutor};
@@ -13,6 +13,303 @@ use lamb_select::{AlgorithmMeasurement, InstanceEvaluation, MinFlops, SelectionP
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Builds the executor one planning worker times algorithms with.
+pub(crate) type ExecutorFactory = Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>;
+
+/// The settings [`Planner`] and [`BatchPlanner`](crate::BatchPlanner)
+/// share, and the one planning pipeline that runs under them.
+pub(crate) struct Settings {
+    pub(crate) policy: Arc<dyn SelectionPolicy>,
+    pub(crate) factory: ExecutorFactory,
+    pub(crate) threshold: f64,
+    pub(crate) score_predictions: bool,
+    pub(crate) top_k: Option<usize>,
+    pub(crate) cache: Arc<PredictionCache>,
+    pub(crate) use_cse: bool,
+    pub(crate) factor_cache: Option<Arc<FactorCache>>,
+}
+
+impl Settings {
+    /// The defaults under `policy`: the paper-like simulated executor, the
+    /// 10% anomaly threshold of Experiment 1, predicted-time scoring, a cold
+    /// prediction cache, CSE on, no factor cache and no enumeration cap.
+    pub(crate) fn new(policy: Arc<dyn SelectionPolicy>) -> Self {
+        Settings {
+            policy,
+            factory: Arc::new(|| Box::new(SimulatedExecutor::paper_like())),
+            threshold: 0.10,
+            score_predictions: true,
+            top_k: None,
+            cache: Arc::new(PredictionCache::new()),
+            use_cse: true,
+            factor_cache: None,
+        }
+    }
+
+    /// The attached factor cache, if any.
+    fn factors(&self) -> Option<&dyn FactorStore> {
+        self.factor_cache.as_deref().map(|fc| fc as _)
+    }
+
+    /// The planning pipeline: validate → enumerate + CSE → dedup → debug
+    /// verify gate → score → select. With `factors`, resident factors score
+    /// as free and the chosen algorithm's factors become resident.
+    pub(crate) fn plan(
+        &self,
+        expr: &dyn Expression,
+        dims: &[usize],
+        executor: &mut dyn Executor,
+        factors: Option<&dyn FactorStore>,
+    ) -> Result<Plan, PlanError> {
+        let (algorithms, duplicates_removed) = self.candidates(expr, dims)?;
+        let (scores, chosen) = self.score_and_select(&algorithms, executor, factors)?;
+        if let Some(store) = factors {
+            note_resident(store, &algorithms[chosen]);
+        }
+        Ok(Plan {
+            dims: dims.to_vec(),
+            expression: expr.name(),
+            algorithms,
+            scores,
+            chosen,
+            policy: self.policy.name(),
+            duplicates_removed,
+            threshold: self.threshold,
+            factory: Arc::clone(&self.factory),
+            cache: Arc::clone(&self.cache),
+        })
+    }
+
+    /// The pipeline up to scoring: the deduplicated, verified candidates and
+    /// the number of duplicates dropped.
+    fn candidates(
+        &self,
+        expr: &dyn Expression,
+        dims: &[usize],
+    ) -> Result<(Vec<Algorithm>, usize), PlanError> {
+        // Zero dimensions are deliberately *not* rejected here: every kernel,
+        // FLOP model and executor handles degenerate (empty) operands, and
+        // the degenerate-dimension proptests drive zero- and unit-sized
+        // instances through this exact path.
+        if dims.len() != expr.num_dims() {
+            return Err(PlanError::DimensionMismatch {
+                expected: expr.num_dims(),
+                got: dims.len(),
+            });
+        }
+        // With CSE on, every candidate is rewritten into its shared (DAG)
+        // form so each distinct node is computed — and charged — once.
+        let mut enumerated = expr.algorithms_pruned(dims, self.top_k)?;
+        if self.use_cse {
+            enumerated = enumerated
+                .iter()
+                .map(|a| eliminate_common_subexpressions(a).algorithm)
+                .collect();
+        }
+        // Deduplicate on the *post-CSE* canonical form: rewrites can derive
+        // sequences that only become identical once their internal
+        // duplicates are merged.
+        let (algorithms, duplicates_removed) = dedup_by_signature(enumerated);
+        if algorithms.is_empty() {
+            return Err(PlanError::NoAlgorithms);
+        }
+        // Debug-mode gate: every candidate the policy may pick must pass the
+        // static analyser. Compiled out in release builds (no timing skew).
+        for alg in &algorithms {
+            lamb_verify::debug_assert_verified(alg);
+        }
+        Ok((algorithms, duplicates_removed))
+    }
+
+    /// Score `algorithms` and let the policy choose among them, both through
+    /// the same executor.
+    pub(crate) fn score_and_select(
+        &self,
+        algorithms: &[Algorithm],
+        executor: &mut dyn Executor,
+        factors: Option<&dyn FactorStore>,
+    ) -> Result<(Vec<AlgorithmScore>, usize), PlanError> {
+        self.scoring(executor, factors, |exec| {
+            let scores = score(algorithms, exec, factors, self.score_predictions);
+            Ok((scores, self.policy.select(algorithms, exec)?))
+        })
+    }
+
+    /// Run `f` with `executor` routed through the prediction cache and, with
+    /// `factors`, through the residency discount.
+    fn scoring<R>(
+        &self,
+        executor: &mut dyn Executor,
+        factors: Option<&dyn FactorStore>,
+        f: impl FnOnce(&mut dyn Executor) -> R,
+    ) -> R {
+        let mut caching = CachingExecutor::new(executor, &self.cache);
+        match factors {
+            Some(store) => f(&mut ReuseAwareExecutor::new(&mut caching, store)),
+            None => f(&mut caching),
+        }
+    }
+
+    /// Map `f` over `items` across rayon workers: one contiguous chunk and
+    /// one executor from the factory per worker, results in input order.
+    pub(crate) fn fan_out<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T, &mut dyn Executor) -> R + Sync,
+    ) -> Vec<R> {
+        let workers = rayon::current_num_threads().min(items.len()).max(1);
+        let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(workers).max(1)).collect();
+        let per_chunk: Vec<Vec<R>> = chunks
+            .into_par_iter()
+            .map(|chunk| {
+                let mut executor = (self.factory)();
+                chunk
+                    .iter()
+                    .map(|item| f(item, executor.as_mut()))
+                    .collect()
+            })
+            .collect();
+        per_chunk.into_iter().flatten().collect()
+    }
+}
+
+/// The one scoring function: each algorithm's FLOPs (net of resident factors
+/// with `factors`) and, when `predict`, its time predicted from the
+/// isolated-call benchmarks of `executor`. Without `factors` no factor
+/// identity is built.
+fn score(
+    algorithms: &[Algorithm],
+    executor: &mut dyn Executor,
+    factors: Option<&dyn FactorStore>,
+    predict: bool,
+) -> Vec<AlgorithmScore> {
+    algorithms
+        .iter()
+        .enumerate()
+        .map(|(index, alg)| AlgorithmScore {
+            index,
+            name: alg.name.clone(),
+            flops: factors.map_or_else(|| alg.flops(), |store| effective_flops(alg, store)),
+            predicted_seconds: predict.then(|| executor.predict_from_isolated_calls(alg).seconds),
+        })
+        .collect()
+}
+
+/// Mark `alg`'s cacheable factors resident in `store`, for the instances
+/// planned after it (bytes arrive when an execution computes them).
+pub(crate) fn note_resident(store: &dyn FactorStore, alg: &Algorithm) {
+    for (_, _, identity) in cacheable_identities(alg) {
+        store.note(&identity);
+    }
+}
+
+/// The builder methods [`Planner`] and [`BatchPlanner`](crate::BatchPlanner)
+/// share: each sets or reads one field of their common [`Settings`].
+macro_rules! settings_builders {
+    () => {
+        /// Enable or disable common-subexpression elimination over the
+        /// enumerated kernel-call sequences (on by default). With CSE on,
+        /// every candidate algorithm is rewritten so identical
+        /// subcomputations — repeated POTRFs of one SPD operand, repeated
+        /// SYRK Gram products, repeated TRSM half-solves — are computed once
+        /// and referenced thereafter, and the FLOP scores charge each
+        /// distinct node once. Disable for an ablation (`--no-cse` in the
+        /// CLI).
+        #[must_use]
+        pub fn cse(mut self, enabled: bool) -> Self {
+            self.settings.use_cse = enabled;
+            self
+        }
+
+        /// Use `policy` to choose among the enumerated algorithms.
+        #[must_use]
+        pub fn policy(mut self, policy: impl SelectionPolicy + 'static) -> Self {
+            self.settings.policy = Arc::new(policy);
+            self
+        }
+
+        /// Use the built-in policy named by `strategy`.
+        #[must_use]
+        pub fn strategy(mut self, strategy: Strategy) -> Self {
+            self.settings.policy = Arc::from(strategy.to_policy());
+            self
+        }
+
+        /// Time algorithms with executors built by `factory`: one per
+        /// [`Planner::plan`](crate::Planner::plan) call, and one per worker
+        /// thread in [`Planner::plan_grid`](crate::Planner::plan_grid) and
+        /// [`BatchPlanner::plan_batch`](crate::BatchPlanner::plan_batch).
+        #[must_use]
+        pub fn executor_factory(
+            mut self,
+            factory: impl Fn() -> Box<dyn Executor> + Send + Sync + 'static,
+        ) -> Self {
+            self.settings.factory = Arc::new(factory);
+            self
+        }
+
+        /// Time-score threshold used when plans classify anomalies (paper:
+        /// 10% in Experiment 1, 5% in Experiments 2-3).
+        #[must_use]
+        pub fn threshold(mut self, threshold: f64) -> Self {
+            self.settings.threshold = threshold;
+            self
+        }
+
+        /// Restrict enumeration to the `k` algorithms with the smallest FLOP
+        /// counts (branch-and-bound pruned by the general enumerator). This
+        /// keeps planning tractable on long chains, whose full algorithm set
+        /// grows factorially.
+        #[must_use]
+        pub fn top_k(mut self, k: usize) -> Self {
+            self.settings.top_k = Some(k.max(1));
+            self
+        }
+
+        /// Share `cache` with other planners and batch planners: every
+        /// planner wired to the same cache benchmarks each distinct kernel
+        /// call at most once between them.
+        #[must_use]
+        pub fn shared_cache(mut self, cache: Arc<PredictionCache>) -> Self {
+            self.settings.cache = cache;
+            self
+        }
+
+        /// Warm-start the prediction cache from a persisted
+        /// [`CalibrationStore`]: every kernel call whose timing key the store
+        /// covers is a cache hit instead of a fresh benchmark. See the
+        /// `calibrate` CLI command and [`Self::snapshot_cache`] for the other
+        /// half of the round trip.
+        ///
+        /// Stores written by `calibrate --autotune` also carry the autotuned
+        /// `BlockConfig` ([`CalibrationStore::tuned_block_config`]); build
+        /// the measured executors under that configuration so the preloaded
+        /// timings describe the blocking actually run (the CLI's executor
+        /// factory does this).
+        #[must_use]
+        pub fn with_store(self, store: &CalibrationStore) -> Self {
+            self.settings.cache.preload(&store.calls);
+            self
+        }
+
+        /// Export the prediction cache (preloaded entries plus everything
+        /// benchmarked since) as a [`CallTimeTable`], e.g. to merge back
+        /// into a calibration store.
+        #[must_use]
+        pub fn snapshot_cache(&self) -> CallTimeTable {
+            self.settings.cache.snapshot()
+        }
+
+        /// `(hits, misses)` of the shared prediction cache since
+        /// construction.
+        #[must_use]
+        pub fn cache_stats(&self) -> (usize, usize) {
+            self.settings.cache.stats()
+        }
+    };
+}
+pub(crate) use settings_builders;
 
 /// Plans expression instances: enumerate the mathematically equivalent
 /// algorithms, score them, and let a [`SelectionPolicy`] choose.
@@ -33,14 +330,7 @@ use std::sync::Arc;
 /// ```
 pub struct Planner<'e> {
     expr: &'e dyn Expression,
-    policy: Arc<dyn SelectionPolicy>,
-    factory: Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>,
-    threshold: f64,
-    score_predictions: bool,
-    top_k: Option<usize>,
-    cache: Arc<PredictionCache>,
-    use_cse: bool,
-    factor_cache: Option<Arc<FactorCache>>,
+    settings: Settings,
 }
 
 impl<'e> Planner<'e> {
@@ -52,29 +342,11 @@ impl<'e> Planner<'e> {
     pub fn for_expression(expr: &'e dyn Expression) -> Self {
         Planner {
             expr,
-            policy: Arc::new(MinFlops),
-            factory: Arc::new(|| Box::new(SimulatedExecutor::paper_like())),
-            threshold: 0.10,
-            score_predictions: true,
-            top_k: None,
-            cache: Arc::new(PredictionCache::new()),
-            use_cse: true,
-            factor_cache: None,
+            settings: Settings::new(Arc::new(MinFlops)),
         }
     }
 
-    /// Enable or disable common-subexpression elimination over the enumerated
-    /// kernel-call sequences (on by default). With CSE on, every candidate
-    /// algorithm is rewritten so identical subcomputations — repeated POTRFs
-    /// of one SPD operand, repeated SYRK Gram products, repeated TRSM
-    /// half-solves — are computed once and referenced thereafter, and the
-    /// FLOP scores charge each distinct node once. Disable for an ablation
-    /// (`--no-cse` in the CLI).
-    #[must_use]
-    pub fn cse(mut self, enabled: bool) -> Self {
-        self.use_cse = enabled;
-        self
-    }
+    settings_builders!();
 
     /// Share a [`FactorCache`] with other planners (typically through a
     /// [`crate::BatchPlanner`] batch): cacheable factors already resident in
@@ -85,62 +357,7 @@ impl<'e> Planner<'e> {
     /// completely independent across instances.
     #[must_use]
     pub fn factor_cache(mut self, cache: Arc<FactorCache>) -> Self {
-        self.factor_cache = Some(cache);
-        self
-    }
-
-    /// Use `policy` to choose among the enumerated algorithms.
-    #[must_use]
-    pub fn policy(mut self, policy: impl SelectionPolicy + 'static) -> Self {
-        self.policy = Arc::new(policy);
-        self
-    }
-
-    /// Use an already-shared policy (e.g. one driving a whole batch).
-    #[must_use]
-    pub fn shared_policy(mut self, policy: Arc<dyn SelectionPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Share `cache` with other planners (and with [`crate::BatchPlanner`]):
-    /// every planner wired to the same cache benchmarks each distinct kernel
-    /// call at most once between them.
-    #[must_use]
-    pub fn shared_cache(mut self, cache: Arc<PredictionCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Warm-start the prediction cache from a persisted
-    /// [`CalibrationStore`]: every kernel call whose timing key the store
-    /// covers is a cache hit instead of a fresh benchmark. See the
-    /// `calibrate` CLI command and [`Planner::snapshot_cache`] for the other
-    /// half of the round trip.
-    ///
-    /// Stores written by `calibrate --autotune` also carry the autotuned
-    /// `BlockConfig`
-    /// ([`CalibrationStore::tuned_block_config`]); construct the measured
-    /// executor under that configuration so the preloaded timings describe
-    /// the blocking actually run (the CLI's executor factory does this).
-    #[must_use]
-    pub fn with_store(self, store: &CalibrationStore) -> Self {
-        self.cache.preload(&store.calls);
-        self
-    }
-
-    /// Export the prediction cache (preloaded entries plus everything
-    /// benchmarked since) as a [`CallTimeTable`], e.g. to merge back into a
-    /// calibration store.
-    #[must_use]
-    pub fn snapshot_cache(&self) -> CallTimeTable {
-        self.cache.snapshot()
-    }
-
-    /// Use the built-in policy named by `strategy` (back-compat constructor).
-    #[must_use]
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.policy = Arc::from(strategy.to_policy());
+        self.settings.factor_cache = Some(cache);
         self
     }
 
@@ -151,42 +368,12 @@ impl<'e> Planner<'e> {
         self.executor_factory(move || Box::new(executor.clone()))
     }
 
-    /// Time algorithms with executors built by `factory`. The factory is
-    /// invoked once per [`Planner::plan`] call and once per worker thread in
-    /// [`Planner::plan_grid`].
-    #[must_use]
-    pub fn executor_factory(
-        mut self,
-        factory: impl Fn() -> Box<dyn Executor> + Send + Sync + 'static,
-    ) -> Self {
-        self.factory = Arc::new(factory);
-        self
-    }
-
-    /// Time-score threshold used when executed plans classify anomalies
-    /// (paper: 10% in Experiment 1, 5% in Experiments 2-3).
-    #[must_use]
-    pub fn threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
     /// Whether [`Plan::scores`](crate::Plan) should include predicted times
     /// (benchmarked through the shared cache). Disable for tight loops that
     /// only need the FLOP scores and the policy's choice.
     #[must_use]
     pub fn score_predictions(mut self, enabled: bool) -> Self {
-        self.score_predictions = enabled;
-        self
-    }
-
-    /// Restrict enumeration to the `k` algorithms with the smallest FLOP
-    /// counts (branch-and-bound pruned by the general enumerator). This
-    /// keeps [`Planner::plan`] and [`Planner::plan_grid`] tractable on long
-    /// chains, whose full algorithm set grows factorially.
-    #[must_use]
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.top_k = Some(k.max(1));
+        self.settings.score_predictions = enabled;
         self
     }
 
@@ -199,43 +386,7 @@ impl<'e> Planner<'e> {
     /// The shared prediction cache: distinct kernel calls benchmarked so far.
     #[must_use]
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// `(hits, misses)` of the shared prediction cache.
-    #[must_use]
-    pub fn cache_stats(&self) -> (usize, usize) {
-        self.cache.stats()
-    }
-
-    /// Enumerate (pruned) and, when CSE is enabled, rewrite every candidate
-    /// into its shared (DAG) form so each distinct node is computed — and
-    /// charged — once.
-    fn cse_algorithms(&self, dims: &[usize]) -> Result<Vec<Algorithm>, PlanError> {
-        let enumerated = self.expr.algorithms_pruned(dims, self.top_k)?;
-        if self.use_cse {
-            Ok(enumerated
-                .into_iter()
-                .map(|a| eliminate_common_subexpressions(&a).algorithm)
-                .collect())
-        } else {
-            Ok(enumerated)
-        }
-    }
-
-    // Zero dimensions are deliberately *not* rejected here: every kernel,
-    // FLOP model and executor handles degenerate (empty) operands, and the
-    // degenerate-dimension proptests drive zero- and unit-sized instances
-    // through this exact path.
-    fn validate(&self, dims: &[usize]) -> Result<(), PlanError> {
-        let expected = self.expr.num_dims();
-        if dims.len() != expected {
-            return Err(PlanError::DimensionMismatch {
-                expected,
-                got: dims.len(),
-            });
-        }
-        Ok(())
+        self.settings.cache.len()
     }
 
     /// Plan one instance with a fresh executor from the factory.
@@ -262,7 +413,7 @@ impl<'e> Planner<'e> {
     ///
     /// See [`PlanError`].
     pub fn plan(&self, dims: &[usize]) -> Result<Plan, PlanError> {
-        let mut executor = (self.factory)();
+        let mut executor = (self.settings.factory)();
         self.plan_with(dims, executor.as_mut())
     }
 
@@ -277,75 +428,8 @@ impl<'e> Planner<'e> {
         dims: &[usize],
         executor: &mut dyn Executor,
     ) -> Result<Plan, PlanError> {
-        self.validate(dims)?;
-        let enumerated = self.cse_algorithms(dims)?;
-        // Deduplicate on the *post-CSE* canonical form: rewrites can derive
-        // sequences that only become identical once their internal
-        // duplicates are merged.
-        let (algorithms, duplicates_removed) = dedup_by_signature(enumerated);
-        if algorithms.is_empty() {
-            return Err(PlanError::NoAlgorithms);
-        }
-        // Debug-mode gate: every candidate the policy may pick must pass the
-        // static analyser. Compiled out in release builds (no timing skew).
-        for alg in &algorithms {
-            lamb_verify::debug_assert_verified(alg);
-        }
-        let mut caching = CachingExecutor::new(executor, &self.cache);
-        let (scores, chosen) = match &self.factor_cache {
-            Some(fc) => {
-                let store: &dyn FactorStore = fc.as_ref();
-                let mut reuse = ReuseAwareExecutor::new(&mut caching, store);
-                let scores: Vec<AlgorithmScore> = algorithms
-                    .iter()
-                    .enumerate()
-                    .map(|(index, alg)| AlgorithmScore {
-                        index,
-                        name: alg.name.clone(),
-                        flops: effective_flops(alg, store),
-                        predicted_seconds: self
-                            .score_predictions
-                            .then(|| reuse.predict_from_isolated_calls(alg).seconds),
-                    })
-                    .collect();
-                let chosen = self.policy.select(&algorithms, &mut reuse)?;
-                // The chosen algorithm's factors become resident for later
-                // instances planned against the same cache (bytes arrive
-                // when an execution actually computes them).
-                for (_, _, identity) in cacheable_identities(&algorithms[chosen]) {
-                    fc.note(&identity);
-                }
-                (scores, chosen)
-            }
-            None => {
-                let scores: Vec<AlgorithmScore> = algorithms
-                    .iter()
-                    .enumerate()
-                    .map(|(index, alg)| AlgorithmScore {
-                        index,
-                        name: alg.name.clone(),
-                        flops: alg.flops(),
-                        predicted_seconds: self
-                            .score_predictions
-                            .then(|| caching.predict_from_isolated_calls(alg).seconds),
-                    })
-                    .collect();
-                let chosen = self.policy.select(&algorithms, &mut caching)?;
-                (scores, chosen)
-            }
-        };
-        Ok(Plan {
-            dims: dims.to_vec(),
-            expression: self.expr.name(),
-            algorithms,
-            scores,
-            chosen,
-            policy: self.policy.name(),
-            duplicates_removed,
-            threshold: self.threshold,
-            factory: Arc::clone(&self.factory),
-            cache: Arc::clone(&self.cache),
-        })
+        self.settings
+            .plan(self.expr, dims, executor, self.settings.factors())
     }
 
     /// Plan a batch of instances, fanning out across worker threads: the
@@ -359,23 +443,8 @@ impl<'e> Planner<'e> {
     /// executors key their timings on the kernel-call signatures alone.
     #[must_use]
     pub fn plan_grid(&self, grid: &[Vec<usize>]) -> Vec<Result<Plan, PlanError>> {
-        if grid.is_empty() {
-            return Vec::new();
-        }
-        let workers = rayon::current_num_threads().clamp(1, grid.len());
-        let chunk_size = grid.len().div_ceil(workers);
-        let chunks: Vec<Vec<Vec<usize>>> = grid.chunks(chunk_size).map(<[_]>::to_vec).collect();
-        let per_chunk: Vec<Vec<Result<Plan, PlanError>>> = chunks
-            .into_par_iter()
-            .map(|chunk| {
-                let mut executor = (self.factory)();
-                chunk
-                    .iter()
-                    .map(|dims| self.plan_with(dims, executor.as_mut()))
-                    .collect()
-            })
-            .collect();
-        per_chunk.into_iter().flatten().collect()
+        self.settings
+            .fan_out(grid, |dims, executor| self.plan_with(dims, executor))
     }
 
     /// Build the *predicted* evaluation of one instance: per-algorithm times
@@ -391,35 +460,19 @@ impl<'e> Planner<'e> {
         dims: &[usize],
         executor: &mut dyn Executor,
     ) -> Result<InstanceEvaluation, PlanError> {
-        self.validate(dims)?;
-        let (algorithms, _) = dedup_by_signature(self.cse_algorithms(dims)?);
-        if algorithms.is_empty() {
-            return Err(PlanError::NoAlgorithms);
-        }
-        for alg in &algorithms {
-            lamb_verify::debug_assert_verified(alg);
-        }
-        let measurements = algorithms
-            .iter()
-            .enumerate()
-            .map(|(index, alg)| match &self.factor_cache {
-                Some(fc) => {
-                    let store: &dyn FactorStore = fc.as_ref();
-                    let mut caching = CachingExecutor::new(executor, &self.cache);
-                    let mut reuse = ReuseAwareExecutor::new(&mut caching, store);
-                    AlgorithmMeasurement {
-                        index,
-                        name: alg.name.clone(),
-                        flops: effective_flops(alg, store),
-                        seconds: reuse.predict_from_isolated_calls(alg).seconds,
-                    }
-                }
-                None => AlgorithmMeasurement {
-                    index,
-                    name: alg.name.clone(),
-                    flops: alg.flops(),
-                    seconds: self.cache.predict(executor, alg).seconds,
-                },
+        let (algorithms, _) = self.settings.candidates(self.expr, dims)?;
+        let factors = self.settings.factors();
+        let scores = self.settings.scoring(executor, factors, |exec| {
+            score(&algorithms, exec, factors, true)
+        });
+        let measurements = scores
+            .into_iter()
+            .map(|s| AlgorithmMeasurement {
+                index: s.index,
+                name: s.name,
+                flops: s.flops,
+                // Always predicted: `score` ran with `predict` on.
+                seconds: s.predicted_seconds.unwrap_or_default(),
             })
             .collect();
         Ok(InstanceEvaluation {
@@ -731,6 +784,48 @@ mod tests {
             first.chosen_score().predicted_seconds,
             second.chosen_score().predicted_seconds
         );
+    }
+
+    #[test]
+    fn predict_instance_agrees_with_plan_scores_with_and_without_factors() {
+        let spd = TreeExpression::parse("S[spd]^-1*B").unwrap();
+        let aatb = AatbExpression::new();
+        let cases: [(&dyn Expression, &[usize]); 2] = [(&spd, &[96, 12]), (&aatb, &[80, 514, 768])];
+        for (expr, dims) in cases {
+            for factors in [None, Some(Arc::new(FactorCache::new()))] {
+                let mut planner = Planner::for_expression(expr).policy(MinPredictedTime);
+                if let Some(fc) = &factors {
+                    planner = planner.factor_cache(Arc::clone(fc));
+                    // Make the chosen algorithm's factors resident first.
+                    planner.plan(dims).unwrap();
+                }
+                let mut executor = SimulatedExecutor::paper_like();
+                let predicted = planner.predict_instance(dims, &mut executor).unwrap();
+                let plan = planner.plan_with(dims, &mut executor).unwrap();
+                assert_eq!(predicted.measurements.len(), plan.scores.len());
+                for (m, s) in predicted.measurements.iter().zip(&plan.scores) {
+                    assert_eq!((m.index, &m.name, m.flops), (s.index, &s.name, s.flops));
+                    assert_eq!(
+                        Some(m.seconds.to_bits()),
+                        s.predicted_seconds.map(f64::to_bits)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn best_predicted_seconds_tolerates_nan() {
+        let expr = AatbExpression::new();
+        let mut plan = Planner::for_expression(&expr)
+            .plan(&[80, 100, 120])
+            .unwrap();
+        plan.scores[0].predicted_seconds = Some(f64::NAN);
+        let rest = plan.scores[1..]
+            .iter()
+            .filter_map(|s| s.predicted_seconds)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(plan.best_predicted_seconds(), Some(rest));
     }
 
     #[test]

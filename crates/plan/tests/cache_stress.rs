@@ -17,8 +17,8 @@
 
 use lamb_expr::{AatbExpression, Expression, KernelOp, TreeExpression};
 use lamb_matrix::Trans;
-use lamb_perfmodel::{CallTimeTable, SimulatedExecutor};
-use lamb_plan::{MinPredictedTime, Planner, PredictionCache};
+use lamb_perfmodel::{CallTimeTable, Executor, SimulatedExecutor};
+use lamb_plan::{CachingExecutor, MinPredictedTime, Planner, PredictionCache};
 use lamb_verify::verify_call_table;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -85,7 +85,8 @@ fn sharded_cache_survives_concurrent_preload_snapshot_and_planning() {
                         2 => {
                             let dims = [40 + round, 60 + t, 80];
                             for alg in aatb.algorithms(&dims).unwrap() {
-                                let timing = cache.predict(&mut executor, &alg);
+                                let timing = CachingExecutor::new(&mut executor, &cache)
+                                    .predict_from_isolated_calls(&alg);
                                 if !timing.seconds.is_finite() || timing.seconds < 0.0 {
                                     failed.store(true, Ordering::Relaxed);
                                 }
@@ -125,8 +126,12 @@ fn sharded_cache_survives_concurrent_preload_snapshot_and_planning() {
     let reference = PredictionCache::new();
     let dims = [40, 60, 80];
     for alg in aatb.algorithms(&dims).unwrap() {
-        let fresh = reference.predict(&mut executor, &alg).seconds;
-        let stressed = cache.predict(&mut executor, &alg).seconds;
+        let fresh = CachingExecutor::new(&mut executor, &reference)
+            .predict_from_isolated_calls(&alg)
+            .seconds;
+        let stressed = CachingExecutor::new(&mut executor, &cache)
+            .predict_from_isolated_calls(&alg)
+            .seconds;
         assert!(
             (fresh - stressed).abs() <= 1e-12 * fresh.max(1.0),
             "stressed cache diverged: {stressed} vs {fresh}"
