@@ -4,10 +4,11 @@
 //! [`FactorStore`]: a map from canonical node identities
 //! ([`lamb_expr::node_identities`]) to computed factors, held in the same
 //! sharded map (`Sharded`) as [`PredictionCache`](crate::PredictionCache),
-//! so the many workers of a batch run do not serialise on one lock. Shared across a
-//! [`BatchPlanner`](crate::BatchPlanner) batch it carries factor residency
-//! *between requests*: once one request's chosen algorithm factors an SPD
-//! operand, every later solve against the same operand starts warm.
+//! so the many workers of a batch run do not serialise on one lock. Shared
+//! across a [`BatchPlanner`](crate::BatchPlanner) batch it carries factor
+//! residency *between requests*: once one request's chosen algorithm
+//! factors an SPD operand, every later solve against the same operand
+//! starts warm.
 //!
 //! [`ReuseAwareExecutor`] makes the planner's *time model* DAG-aware at batch
 //! level: isolated-call benchmarks of calls whose
