@@ -2244,6 +2244,188 @@ mod tests {
         }
     }
 
+    /// One line per call (`op inputs -> output | label`), then one per
+    /// operand (`id name rows x cols role structure`): every field of both.
+    fn render(alg: &Algorithm) -> Vec<String> {
+        let ids = |ids: &[OperandId]| ids.iter().map(|id| id.index()).collect::<Vec<_>>();
+        let calls = alg.calls.iter().map(|c| {
+            format!(
+                "{:?} {:?} -> {} | {}",
+                c.op,
+                ids(&c.inputs),
+                c.output.index(),
+                c.label
+            )
+        });
+        let operands = alg.operands.iter().map(|o| {
+            format!(
+                "{} {} {}x{} {:?} {:?}",
+                o.id.index(),
+                o.name,
+                o.rows,
+                o.cols,
+                o.role,
+                o.structure
+            )
+        });
+        std::iter::once(alg.name.clone())
+            .chain(calls)
+            .chain(operands)
+            .collect()
+    }
+
+    #[test]
+    fn merge_realisations_are_pinned_call_for_call() {
+        // Distinct dimensions everywhere, so a swapped m/n shows up.
+        let s = || Expr::spd_var("S", 5);
+        let a4 = || Expr::var("A", 4, 4);
+        let a = Expr::var("A", 3, 5);
+        let c = Expr::var("C", 3, 4);
+        let cases: Vec<(Expr, &str, Vec<&str>)> = vec![
+            (
+                s().inv().mul(Expr::var("B", 5, 3)),
+                "potrf,trsm,trsm",
+                vec![
+                    "Algorithm 1: (S^-1 B) [potrf,trsm,trsm]",
+                    "Potrf { uplo: Lower, n: 5 } [0] -> 2 | M1 := chol(S) (potrf)",
+                    "Trsm { side: Left, uplo: Lower, trans: No, m: 5, n: 3 } [2, 1] -> 3 | M2 := M1^-1*B (trsm)",
+                    "Trsm { side: Left, uplo: Lower, trans: Yes, m: 5, n: 3 } [2, 3] -> 4 | M3 := M1^-T*M2 (trsm)",
+                    "0 S 5x5 Input Spd",
+                    "1 B 5x3 Input General",
+                    "2 M1 5x5 Intermediate Triangular(Lower)",
+                    "3 M2 5x3 Intermediate General",
+                    "4 X 5x3 Output General",
+                ],
+            ),
+            (
+                Expr::var("B", 3, 5).mul(s().inv()),
+                "potrf,trsm,trsm",
+                vec![
+                    "Algorithm 1: (B S^-1) [potrf,trsm,trsm]",
+                    "Potrf { uplo: Lower, n: 5 } [1] -> 2 | M1 := chol(S) (potrf)",
+                    "Trsm { side: Right, uplo: Lower, trans: Yes, m: 3, n: 5 } [2, 0] -> 3 | M2 := B*M1^-T (trsm)",
+                    "Trsm { side: Right, uplo: Lower, trans: No, m: 3, n: 5 } [2, 3] -> 4 | M3 := M2*M1^-1 (trsm)",
+                    "0 B 3x5 Input General",
+                    "1 S 5x5 Input Spd",
+                    "2 M1 5x5 Intermediate Triangular(Lower)",
+                    "3 M2 3x5 Intermediate General",
+                    "4 X 3x5 Output General",
+                ],
+            ),
+            (
+                a4().inv().mul(Expr::var("B", 4, 2)),
+                "getrf,factortri,factortri,laswp,trsm,trsm",
+                vec![
+                    "Algorithm 1: (A^-1 B) [getrf,factortri,factortri,laswp,trsm,trsm]",
+                    "Getrf { n: 4 } [0] -> 2 | M1 := lu(A) (getrf)",
+                    "FactorTri { uplo: Lower, n: 4 } [2] -> 3 | M2 := tril(M1) (factortri)",
+                    "FactorTri { uplo: Upper, n: 4 } [2] -> 4 | M3 := triu(M1) (factortri)",
+                    "PivotApply { side: Left, m: 4, n: 2 } [2, 1] -> 5 | M4 := P*B (laswp)",
+                    "Trsm { side: Left, uplo: Lower, trans: No, m: 4, n: 2 } [3, 5] -> 6 | M5 := M2^-1*M4 (trsm)",
+                    "Trsm { side: Left, uplo: Upper, trans: No, m: 4, n: 2 } [4, 6] -> 7 | M6 := M3^-1*M5 (trsm)",
+                    "0 A 4x4 Input General",
+                    "1 B 4x2 Input General",
+                    "2 M1 4x5 Intermediate General",
+                    "3 M2 4x4 Intermediate Triangular(Lower)",
+                    "4 M3 4x4 Intermediate Triangular(Upper)",
+                    "5 M4 4x2 Intermediate General",
+                    "6 M5 4x2 Intermediate General",
+                    "7 X 4x2 Output General",
+                ],
+            ),
+            (
+                Expr::var("B", 2, 4).mul(a4().inv()),
+                "getrf,factortri,factortri,trsm,trsm,laswp",
+                vec![
+                    "Algorithm 1: (B A^-1) [getrf,factortri,factortri,trsm,trsm,laswp]",
+                    "Getrf { n: 4 } [1] -> 2 | M1 := lu(A) (getrf)",
+                    "FactorTri { uplo: Lower, n: 4 } [2] -> 3 | M2 := tril(M1) (factortri)",
+                    "FactorTri { uplo: Upper, n: 4 } [2] -> 4 | M3 := triu(M1) (factortri)",
+                    "Trsm { side: Right, uplo: Upper, trans: No, m: 2, n: 4 } [4, 0] -> 5 | M4 := B*M3^-1 (trsm)",
+                    "Trsm { side: Right, uplo: Lower, trans: No, m: 2, n: 4 } [3, 5] -> 6 | M5 := M4*M2^-1 (trsm)",
+                    "PivotApply { side: Right, m: 2, n: 4 } [2, 6] -> 7 | M6 := M5*P (laswp)",
+                    "0 B 2x4 Input General",
+                    "1 A 4x4 Input General",
+                    "2 M1 4x5 Intermediate General",
+                    "3 M2 4x4 Intermediate Triangular(Lower)",
+                    "4 M3 4x4 Intermediate Triangular(Upper)",
+                    "5 M4 2x4 Intermediate General",
+                    "6 M5 2x4 Intermediate General",
+                    "7 X 2x4 Output General",
+                ],
+            ),
+            (
+                Expr::var("A", 6, 3).pinv().mul(Expr::var("b", 6, 2)),
+                "qr,factortri,ormqr,trsm",
+                vec![
+                    "Algorithm 1: (A^+ b) [qr,factortri,ormqr,trsm]",
+                    "Qr { m: 6, n: 3 } [0] -> 2 | M1 := qr(A) (qr)",
+                    "FactorTri { uplo: Upper, n: 3 } [2] -> 3 | M2 := triu(M1) (factortri)",
+                    "Ormqr { m: 6, n: 3, k: 2 } [2, 1] -> 4 | M3 := Q^T*b (ormqr)",
+                    "Trsm { side: Left, uplo: Upper, trans: No, m: 3, n: 2 } [3, 4] -> 5 | M4 := M2^-1*M3 (trsm)",
+                    "0 A 6x3 Input General",
+                    "1 b 6x2 Input General",
+                    "2 M1 6x4 Intermediate General",
+                    "3 M2 3x3 Intermediate Triangular(Upper)",
+                    "4 M3 3x2 Intermediate General",
+                    "5 X 3x2 Output General",
+                ],
+            ),
+            // SyrkThenCopy: the final Gram product completed in place.
+            (
+                a.clone().mul(a.clone().t()),
+                "syrk,copy",
+                vec![
+                    "Algorithm 1: (A A^T) [syrk,copy]",
+                    "Syrk { uplo: Lower, trans: No, n: 3, k: 5 } [0] -> 1 | M1 := A*A^T (syrk)",
+                    "CopyTriangle { uplo: Lower, n: 3 } [1] -> 1 | M1 := full(M1) (copy triangle)",
+                    "0 A 3x5 Input General",
+                    "1 X 3x3 Output General",
+                ],
+            ),
+            // CopyLeftThenGemm: a triangle-stored operand completed in place.
+            (
+                a.clone().mul(a.clone().t()).mul(Expr::var("B", 3, 4)),
+                "syrk,copy,gemm",
+                vec![
+                    "Algorithm 2: ((A A^T) B) [syrk,copy,gemm]",
+                    "Syrk { uplo: Lower, trans: No, n: 3, k: 5 } [0] -> 2 | M1 := A*A^T (syrk)",
+                    "CopyTriangle { uplo: Lower, n: 3 } [2] -> 2 | M1 := full(M1) (copy triangle)",
+                    "Gemm { transa: No, transb: No, m: 3, n: 4, k: 3 } [2, 1] -> 3 | M2 := (A A^T)*B (gemm)",
+                    "0 A 3x5 Input General",
+                    "1 B 3x4 Input General",
+                    "2 M1 3x3 Intermediate General",
+                    "3 X 3x4 Output General",
+                ],
+            ),
+            (
+                a.clone().mul(a.t()).mul(c.clone().mul(c.t())),
+                "syrk,syrk,copy,copy,gemm",
+                vec![
+                    "Algorithm 5: ((A A^T) (C C^T)) [syrk,syrk,copy,copy,gemm]",
+                    "Syrk { uplo: Lower, trans: No, n: 3, k: 5 } [0] -> 2 | M1 := A*A^T (syrk)",
+                    "Syrk { uplo: Lower, trans: No, n: 3, k: 4 } [1] -> 3 | M2 := C*C^T (syrk)",
+                    "CopyTriangle { uplo: Lower, n: 3 } [2] -> 2 | M1 := full(M1) (copy triangle)",
+                    "CopyTriangle { uplo: Lower, n: 3 } [3] -> 3 | M2 := full(M2) (copy triangle)",
+                    "Gemm { transa: No, transb: No, m: 3, n: 3, k: 3 } [2, 3] -> 4 | M3 := (A A^T)*(C C^T) (gemm)",
+                    "0 A 3x5 Input General",
+                    "1 C 3x4 Input General",
+                    "2 M1 3x3 Intermediate General",
+                    "3 M2 3x3 Intermediate General",
+                    "4 X 3x3 Output General",
+                ],
+            ),
+        ];
+        for (expr, summary, expected) in cases {
+            let algs = enumerate_expr_algorithms(&expr).unwrap();
+            let alg = algs
+                .iter()
+                .find(|alg| alg.kernel_summary() == summary)
+                .unwrap_or_else(|| panic!("{expr}: no `{summary}` algorithm"));
+            assert_eq!(render(alg), expected, "{expr}");
+        }
+    }
+
     #[test]
     fn lower_bound_matches_the_chain_dp_on_plain_chains() {
         use crate::chain::optimal_chain_order;
