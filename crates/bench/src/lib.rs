@@ -1,6 +1,7 @@
 //! Shared plumbing for the figure/table regeneration binaries.
 //!
-//! Every binary accepts the same flags:
+//! Every binary accepts the same flags, and rejects any other flag or a
+//! malformed value:
 //!
 //! ```text
 //! --executor simulated|smooth|measured   back end used to time algorithms
@@ -81,51 +82,56 @@ impl Default for RunOptions {
 
 impl RunOptions {
     /// Parse options from an iterator of command-line arguments (not
-    /// including the program name). Unknown flags are ignored so binaries can
-    /// add their own.
-    #[must_use]
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// including the program name).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown flag, a flag missing its value, or
+    /// a malformed value (an unknown executor, a non-numeric scale, ...).
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut opts = RunOptions::default();
         let mut explicit_scale = false;
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            let take = |i: usize| args.get(i + 1).cloned();
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| format!("flag {flag} requires a value"))
+            };
+            match flag.as_str() {
                 "--executor" => {
-                    if let Some(v) = take(i).and_then(|v| ExecutorKind::parse(&v)) {
-                        opts.executor = v;
-                    }
-                    i += 1;
+                    let v = value()?;
+                    opts.executor = ExecutorKind::parse(&v).ok_or_else(|| {
+                        format!("unknown executor `{v}` (expected simulated, smooth or measured)")
+                    })?;
                 }
                 "--scale" => {
-                    if let Some(v) = take(i).and_then(|v| v.parse::<f64>().ok()) {
-                        opts.scale = v.clamp(1.0e-6, 1.0);
-                        explicit_scale = true;
+                    let scale = value()?
+                        .parse::<f64>()
+                        .map_err(|e| format!("invalid --scale: {e}"))?;
+                    if scale.is_nan() {
+                        return Err("invalid --scale: NaN".into());
                     }
-                    i += 1;
+                    opts.scale = scale.clamp(1.0e-6, 1.0);
+                    explicit_scale = true;
                 }
                 "--seed" => {
-                    if let Some(v) = take(i).and_then(|v| v.parse::<u64>().ok()) {
-                        opts.seed = v;
-                    }
-                    i += 1;
+                    opts.seed = value()?
+                        .parse()
+                        .map_err(|e| format!("invalid --seed: {e}"))?;
                 }
-                "--out" => {
-                    if let Some(v) = take(i) {
-                        opts.out_dir = PathBuf::from(v);
-                    }
-                    i += 1;
-                }
+                "--out" => opts.out_dir = PathBuf::from(value()?),
                 "--sizes" => {
-                    if let Some(v) = take(i).and_then(|v| v.parse::<usize>().ok()) {
-                        opts.max_size = v.max(100);
-                    }
-                    i += 1;
+                    let max: usize = value()?
+                        .parse()
+                        .map_err(|e| format!("invalid --sizes: {e}"))?;
+                    opts.max_size = max.max(100);
                 }
-                _ => {}
+                other => {
+                    return Err(format!(
+                        "unknown flag `{other}` (expected --executor, --scale, --seed, --out or --sizes)"
+                    ))
+                }
             }
-            i += 1;
         }
         // Measured runs are wall-clock expensive: default to a small scale
         // unless the user explicitly asked for more.
@@ -133,13 +139,17 @@ impl RunOptions {
             opts.scale = 0.02;
             opts.max_size = opts.max_size.min(1200);
         }
-        opts
+        Ok(opts)
     }
 
-    /// Parse options from the process arguments.
+    /// Parse options from the process arguments; on malformed arguments,
+    /// print the error and exit with a non-zero status.
     #[must_use]
     pub fn from_env() -> Self {
-        RunOptions::parse(std::env::args().skip(1))
+        RunOptions::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(1);
+        })
     }
 
     /// Build the requested executor.
@@ -208,7 +218,7 @@ mod tests {
 
     #[test]
     fn defaults_are_paper_scale_simulated() {
-        let o = RunOptions::parse(Vec::<String>::new());
+        let o = RunOptions::parse(Vec::<String>::new()).unwrap();
         assert_eq!(o.executor, ExecutorKind::Simulated);
         assert!((o.scale - 1.0).abs() < 1e-12);
         assert_eq!(o.chain_search_config().target_anomalies, 100);
@@ -231,7 +241,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(o.executor, ExecutorKind::Measured);
         assert_eq!(o.seed, 7);
         assert_eq!(o.out_dir, PathBuf::from("/tmp/x"));
@@ -239,6 +250,20 @@ mod tests {
         // Measured defaults to a reduced scale.
         assert!(o.scale < 0.1);
         assert!(o.line_config().max_anomalies.is_some());
+        // Unknown flags, missing values and malformed values are errors.
+        for (args, needle) in [
+            (&["--executor", "measurd"][..], "measurd"),
+            (&["--scale", "half"], "--scale"),
+            (&["--scale", "NaN"], "--scale"),
+            (&["--seed", "-1"], "--seed"),
+            (&["--sizes", "many"], "--sizes"),
+            (&["--out"], "--out"),
+            (&["--bogus"], "--bogus"),
+            (&["measured"], "measured"),
+        ] {
+            let err = RunOptions::parse(args.iter().map(|s| s.to_string())).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -247,7 +272,8 @@ mod tests {
             ["--executor", "measured", "--scale", "0.5"]
                 .iter()
                 .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert!((o.scale - 0.5).abs() < 1e-12);
     }
 
@@ -260,6 +286,15 @@ mod tests {
         );
         assert_eq!(ExecutorKind::parse("real"), Some(ExecutorKind::Measured));
         assert_eq!(ExecutorKind::parse("gpu"), None);
+        for (flag, kind) in [
+            ("smooth", ExecutorKind::SimulatedSmooth),
+            ("real", ExecutorKind::Measured),
+        ] {
+            let o = RunOptions::parse(["--executor", flag].iter().map(|s| s.to_string())).unwrap();
+            assert_eq!(o.executor, kind);
+        }
+        let err = RunOptions::parse(["--executor", "gpu"].iter().map(|s| s.to_string()));
+        assert!(err.unwrap_err().contains("unknown executor `gpu`"));
         assert_eq!(ExecutorKind::Measured.name(), "measured");
     }
 

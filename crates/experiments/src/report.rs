@@ -33,7 +33,7 @@ pub fn summary_stats(values: &[f64]) -> SummaryStats {
         };
     }
     let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     let median = if n % 2 == 1 {
         sorted[n / 2]
@@ -168,6 +168,9 @@ mod tests {
         assert!((s.median - 2.5).abs() < 1e-12);
         assert!((s.mean - 2.5).abs() < 1e-12);
         assert_eq!(summary_stats(&[]).count, 0);
+        // A NaN value sorts last instead of panicking.
+        let s = summary_stats(&[f64::NAN, 1.0, 3.0]);
+        assert_eq!((s.min, s.median), (1.0, 3.0));
     }
 
     #[test]

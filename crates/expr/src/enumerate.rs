@@ -15,6 +15,14 @@
 //!    copies for symmetric intermediates), which is how the five `A·Aᵀ·B`
 //!    algorithms of Section 3.2.2 fall out of the same engine.
 //!
+//! Every merge variant emits its kernel calls through one private operand
+//! allocator, `MergeBuilder`: a call that defines an intermediate takes the
+//! next free operand id and `M{n}` name, an in-place triangle copy defines
+//! none, and the last intermediate is the merge result. A product variant
+//! is one call plus any triangle copies; each solve realisation (Cholesky,
+//! pivoted LU and QR, from the left and, for the first two, from the right)
+//! is a short list of such steps.
+//!
 //! A memoized parenthesization lower bound (the generalisation of the matrix
 //! chain DP in [`crate::chain::optimal_chain_order`]) powers the optional
 //! **top-k FLOPs pruning**: with [`EnumerateOptions::top_k`] set, branches
@@ -41,6 +49,7 @@ use crate::operand::OperandId;
 use crate::rewrite::{merge_variants, MergeKind, MergeOperand, Storage};
 use lamb_matrix::{Side, Structure, Trans, Uplo};
 use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
 
 /// Knobs of the general enumerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -470,9 +479,7 @@ fn recurse(
 /// introduce exactly one intermediate (the merge result); the Cholesky
 /// realisation of an SPD inverse introduces three, the QR realisation of a
 /// pseudo-inverse four, and the pivoted LU realisation of a general inverse
-/// six. The *last* entry of the returned operand list is always the merge
-/// result — `recurse` relies on this when it promotes the final intermediate
-/// to the algorithm's output.
+/// six.
 ///
 /// `base_id`/`base_m` are the next free operand id and `M{..}` name index.
 fn build_merge(
@@ -483,814 +490,454 @@ fn build_merge(
     base_m: usize,
     ambiguous: bool,
 ) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+    debug_assert_eq!(left.cols, right.rows, "validated by Expr::shape");
+    let mut b = MergeBuilder {
+        left,
+        right,
+        base_id,
+        base_m,
+        calls: Vec::new(),
+        infos: Vec::new(),
+    };
+    match kind {
+        MergeKind::CholeskySolve => cholesky_solve(&mut b),
+        MergeKind::CholeskySolveRight => cholesky_solve_right(&mut b),
+        MergeKind::LuSolve => lu_solve(&mut b),
+        MergeKind::LuSolveRight => lu_solve_right(&mut b),
+        MergeKind::QrSolve => qr_solve(&mut b),
+        _ => product(&mut b, kind, ambiguous),
+    }
+    b.finish(kind.result_storage())
+}
+
+/// An intermediate defined by the merge being built: its operand id and the
+/// number `m` of its name `M{m}` (what `Display` writes).
+#[derive(Clone, Copy)]
+struct Intermediate {
+    id: OperandId,
+    m: usize,
+}
+
+impl fmt::Display for Intermediate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "M{}", self.m)
+    }
+}
+
+/// The operand allocator of one merge: every call that defines a new
+/// intermediate takes the next free operand id and `M{n}` name, and the
+/// *last* intermediate is the merge result — `recurse` relies on this when
+/// it promotes the final intermediate to the algorithm's output.
+struct MergeBuilder<'a> {
+    left: &'a Segment,
+    right: &'a Segment,
+    base_id: usize,
+    base_m: usize,
+    calls: Vec<KernelCall>,
+    infos: Vec<OperandInfo>,
+}
+
+impl MergeBuilder<'_> {
+    /// Emit `op` reading `inputs` into a new intermediate of the op's output
+    /// shape and of `structure`; `label` writes the call's label given the
+    /// new intermediate.
+    fn push(
+        &mut self,
+        op: KernelOp,
+        inputs: Vec<OperandId>,
+        structure: Structure,
+        label: impl FnOnce(Intermediate) -> String,
+    ) -> Intermediate {
+        let out = Intermediate {
+            id: OperandId(self.base_id + self.infos.len()),
+            m: self.base_m + self.infos.len(),
+        };
+        let (rows, cols) = op.output_shape();
+        self.calls.push(KernelCall {
+            op,
+            inputs,
+            output: out.id,
+            label: label(out),
+        });
+        self.infos.push(OperandInfo {
+            id: out.id,
+            rows,
+            cols,
+            role: OperandRole::Intermediate,
+            structure,
+            name: out.to_string(),
+        });
+        out
+    }
+
+    /// Emit `op` overwriting `operand` in place (a triangle copy), which
+    /// defines no new intermediate.
+    fn push_in_place(&mut self, op: KernelOp, operand: OperandId, label: String) {
+        self.calls.push(KernelCall {
+            op,
+            inputs: vec![operand],
+            output: operand,
+            label,
+        });
+    }
+
+    /// The calls, the merged segment — the last intermediate, stored as
+    /// `storage` and triangular when the intermediate is — and the new
+    /// intermediates' operand entries.
+    fn finish(self, storage: Storage) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+        let result = self.infos.last().expect("every merge defines its result");
+        let merged = Segment {
+            id: result.id,
+            rows: result.rows,
+            cols: result.cols,
+            trans: Trans::No,
+            leaf: None,
+            storage,
+            tri: result.triangle(),
+            spd: false,
+            inv: false,
+            pinv: false,
+            start: self.left.start,
+            end: self.right.end,
+            text: format!("({} {})", self.left.text, self.right.text),
+            name: result.name.clone(),
+        };
+        (self.calls, merged, self.infos)
+    }
+}
+
+/// The product variants: in-place triangle copies that complete
+/// triangle-stored operands, then one kernel call into the result, then —
+/// for a final Gram product — a copy that completes the result itself.
+fn product(b: &mut MergeBuilder<'_>, kind: MergeKind, ambiguous: bool) {
+    use MergeKind as K;
+    let (left, right) = (b.left, b.right);
     let uplo = Uplo::Lower;
     let (m, k, n) = (left.rows, left.cols, right.cols);
-    debug_assert_eq!(left.cols, right.rows, "validated by Expr::shape");
-    if kind == MergeKind::CholeskySolve {
-        return build_cholesky_solve(left, right, base_id, base_m);
-    }
-    if kind == MergeKind::CholeskySolveRight {
-        return build_cholesky_solve_right(left, right, base_id, base_m);
-    }
-    if kind == MergeKind::LuSolve {
-        return build_lu_solve(left, right, base_id, base_m);
-    }
-    if kind == MergeKind::LuSolveRight {
-        return build_lu_solve_right(left, right, base_id, base_m);
-    }
-    if kind == MergeKind::QrSolve {
-        return build_qr_solve(left, right, base_id, base_m);
-    }
-    let out_id = OperandId(base_id);
-    let out_name = &format!("M{base_m}");
-    let product_label = |kernel: &str| {
-        if ambiguous {
-            format!("{out_name} := {}*{} ({kernel})", left.text, right.text)
-        } else {
-            format!("{out_name} := {}*{}", left.text, right.text)
+    let copy_left = matches!(
+        kind,
+        K::CopyLeftThenGemm | K::CopyBothThenGemm | K::CopyLeftThenSymmRight
+    );
+    let copy_right = matches!(
+        kind,
+        K::CopyRightThenGemm | K::CopyBothThenGemm | K::CopyRightThenSymmLeft
+    );
+    for (copy, seg) in [(copy_left, left), (copy_right, right)] {
+        if copy {
+            b.push_in_place(
+                KernelOp::CopyTriangle { uplo, n: seg.rows },
+                seg.id,
+                format!("{0} := full({0}) (copy triangle)", seg.name),
+            );
         }
-    };
-    let copy_call = |seg: &Segment| KernelCall {
-        op: KernelOp::CopyTriangle { uplo, n: seg.rows },
-        inputs: vec![seg.id],
-        output: seg.id,
-        label: format!("{0} := full({0}) (copy triangle)", seg.name),
-    };
-    let gemm_call = |transa: Trans, transb: Trans, label: String| KernelCall {
-        op: KernelOp::Gemm {
+    }
+    let gemm = |transa, transb| {
+        let op = KernelOp::Gemm {
             transa,
             transb,
             m,
             n,
             k,
-        },
-        inputs: vec![left.id, right.id],
-        output: out_id,
-        label,
+        };
+        (op, vec![left.id, right.id])
     };
-    let symm_call = |side: Side| {
+    let symm = |side| {
         let inputs = match side {
             Side::Left => vec![left.id, right.id],
             Side::Right => vec![right.id, left.id],
         };
-        KernelCall {
-            op: KernelOp::Symm { side, uplo, m, n },
-            inputs,
-            output: out_id,
-            label: product_label("symm"),
-        }
-    };
-    let syrk_call = || KernelCall {
-        op: KernelOp::Syrk {
-            uplo,
-            trans: left.trans,
-            n: m,
-            k,
-        },
-        inputs: vec![left.id],
-        output: out_id,
-        label: product_label("syrk"),
+        (KernelOp::Symm { side, uplo, m, n }, inputs)
     };
     // The triangular operand leads the input list for both sides, matching
     // the kernel argument order (triangle, then the rectangular operand).
-    let trmm_call = |side: Side| {
-        let (tri_seg, rect_seg) = match side {
+    let triangular = |side, solve: bool| {
+        let (tri, rect) = match side {
             Side::Left => (left, right),
             Side::Right => (right, left),
         };
-        KernelCall {
-            op: KernelOp::Trmm {
+        let uplo = tri.tri.expect("TRMM and TRSM require a triangular operand");
+        let trans = tri.trans;
+        let op = if solve {
+            trsm(side, uplo, trans, m, n)
+        } else {
+            KernelOp::Trmm {
                 side,
-                uplo: tri_seg.tri.expect("TRMM requires a triangular operand"),
-                trans: tri_seg.trans,
+                uplo,
+                trans,
                 m,
                 n,
-            },
-            inputs: vec![tri_seg.id, rect_seg.id],
-            output: out_id,
-            label: product_label("trmm"),
-        }
-    };
-    let trsm_call = |side: Side| {
-        let (tri_seg, rect_seg) = match side {
-            Side::Left => (left, right),
-            Side::Right => (right, left),
+            }
         };
-        KernelCall {
-            op: KernelOp::Trsm {
-                side,
-                uplo: tri_seg.tri.expect("TRSM requires a triangular operand"),
-                trans: tri_seg.trans,
-                m,
-                n,
-            },
-            inputs: vec![tri_seg.id, rect_seg.id],
-            output: out_id,
-            label: product_label("trsm"),
+        (op, vec![tri.id, rect.id])
+    };
+    let (op, inputs) = match kind {
+        K::Gemm | K::GemmSymmetric => gemm(left.trans, right.trans),
+        K::CopyLeftThenGemm => gemm(Trans::No, right.trans),
+        K::CopyRightThenGemm => gemm(left.trans, Trans::No),
+        K::CopyBothThenGemm => gemm(Trans::No, Trans::No),
+        K::SyrkTriangle | K::SyrkThenCopy => {
+            let op = KernelOp::Syrk {
+                uplo,
+                trans: left.trans,
+                n: m,
+                k,
+            };
+            (op, vec![left.id])
+        }
+        K::SymmLeft | K::CopyRightThenSymmLeft => symm(Side::Left),
+        K::SymmRight | K::CopyLeftThenSymmRight => symm(Side::Right),
+        K::Trmm => triangular(Side::Left, false),
+        K::TrmmRight => triangular(Side::Right, false),
+        K::Trsm => triangular(Side::Left, true),
+        K::TrsmRight => triangular(Side::Right, true),
+        K::CholeskySolve | K::CholeskySolveRight | K::LuSolve | K::LuSolveRight | K::QrSolve => {
+            unreachable!("solves have their own step lists")
         }
     };
-
-    let calls = match kind {
-        MergeKind::Gemm => {
-            let label = product_label("gemm");
-            vec![gemm_call(left.trans, right.trans, label)]
-        }
-        MergeKind::GemmSymmetric => {
-            vec![gemm_call(left.trans, right.trans, product_label("gemm"))]
-        }
-        MergeKind::SyrkTriangle => vec![syrk_call()],
-        MergeKind::SyrkThenCopy => vec![
-            syrk_call(),
-            KernelCall {
-                op: KernelOp::CopyTriangle { uplo, n: m },
-                inputs: vec![out_id],
-                output: out_id,
-                label: format!("{out_name} := full({out_name}) (copy triangle)"),
-            },
-        ],
-        MergeKind::SymmLeft => vec![symm_call(Side::Left)],
-        MergeKind::SymmRight => vec![symm_call(Side::Right)],
-        MergeKind::CopyLeftThenGemm => vec![
-            copy_call(left),
-            gemm_call(Trans::No, right.trans, product_label("gemm")),
-        ],
-        MergeKind::CopyRightThenGemm => vec![
-            copy_call(right),
-            gemm_call(left.trans, Trans::No, product_label("gemm")),
-        ],
-        MergeKind::CopyBothThenGemm => vec![
-            copy_call(left),
-            copy_call(right),
-            gemm_call(Trans::No, Trans::No, product_label("gemm")),
-        ],
-        MergeKind::CopyRightThenSymmLeft => vec![copy_call(right), symm_call(Side::Left)],
-        MergeKind::CopyLeftThenSymmRight => vec![copy_call(left), symm_call(Side::Right)],
-        MergeKind::Trmm => vec![trmm_call(Side::Left)],
-        MergeKind::TrmmRight => vec![trmm_call(Side::Right)],
-        MergeKind::Trsm => vec![trsm_call(Side::Left)],
-        MergeKind::TrsmRight => vec![trsm_call(Side::Right)],
-        MergeKind::CholeskySolve
-        | MergeKind::CholeskySolveRight
-        | MergeKind::LuSolve
-        | MergeKind::LuSolveRight
-        | MergeKind::QrSolve => {
-            unreachable!("handled above")
-        }
-    };
-
     // Triangularity is closed under same-triangle products and solves: the
     // intermediate then carries the structure forward (e.g. chained TRMMs in
     // `L1[lower]*L2[lower]*B`).
-    let result_tri = if kind.preserves_triangle() {
-        match (left.effective_tri(), right.effective_tri()) {
-            (Some(a), Some(b)) if a == b => Some(a),
-            _ => None,
+    let structure = match (left.effective_tri(), right.effective_tri()) {
+        (Some(l), Some(r)) if l == r && kind.preserves_triangle() => Structure::Triangular(l),
+        _ => Structure::General,
+    };
+    let kernel = op.mnemonic();
+    let out = b.push(op, inputs, structure, |out| {
+        if ambiguous {
+            format!("{out} := {}*{} ({kernel})", left.text, right.text)
+        } else {
+            format!("{out} := {}*{}", left.text, right.text)
         }
-    } else {
-        None
-    };
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: kind.result_storage(),
-        tri: result_tri,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name.to_string(),
-    };
-    let info = OperandInfo {
-        id: out_id,
-        rows: m,
-        cols: n,
-        role: OperandRole::Intermediate,
-        structure: result_tri.map_or(Structure::General, Structure::Triangular),
-        name: out_name.to_string(),
-    };
-    (calls, merged, vec![info])
+    });
+    if kind == K::SyrkThenCopy {
+        b.push_in_place(
+            KernelOp::CopyTriangle { uplo, n: m },
+            out.id,
+            format!("{out} := full({out}) (copy triangle)"),
+        );
+    }
 }
 
-/// Build the three-call Cholesky realisation of an SPD inverse merge
-/// `S⁻¹·B`: `L := POTRF(S)`, `Y := L⁻¹·B`, `X := L⁻ᵀ·Y`. Introduces three
-/// intermediates (the explicitly triangular factor, the half-solved
-/// right-hand side, and the result — in that order, result last).
-fn build_cholesky_solve(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+/// The TRSM op with its fields in BLAS argument order.
+fn trsm(side: Side, uplo: Uplo, trans: Trans, m: usize, n: usize) -> KernelOp {
+    KernelOp::Trsm {
+        side,
+        uplo,
+        trans,
+        m,
+        n,
+    }
+}
+
+/// The Cholesky realisation of an SPD inverse merge `S⁻¹·B`:
+/// `L := POTRF(S)`, `Y := L⁻¹·B`, `X := L⁻ᵀ·Y`.
+fn cholesky_solve(b: &mut MergeBuilder<'_>) {
+    let (left, right) = (b.left, b.right);
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(left.rows, left.cols, "SPD operands are square");
-    let l_id = OperandId(base_id);
-    let y_id = OperandId(base_id + 1);
-    let out_id = OperandId(base_id + 2);
-    let l_name = format!("M{base_m}");
-    let y_name = format!("M{}", base_m + 1);
-    let out_name = format!("M{}", base_m + 2);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Potrf {
-                uplo: Uplo::Lower,
-                n: m,
-            },
-            inputs: vec![left.id],
-            output: l_id,
-            label: format!("{l_name} := chol({}) (potrf)", left.name),
+    let l = b.push(
+        KernelOp::Potrf {
+            uplo: Uplo::Lower,
+            n: m,
         },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![l_id, right.id],
-            output: y_id,
-            label: format!("{y_name} := {l_name}^-1*{} (trsm)", right.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::Yes,
-                m,
-                n,
-            },
-            inputs: vec![l_id, y_id],
-            output: out_id,
-            label: format!("{out_name} := {l_name}^-T*{y_name} (trsm)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: l_id,
-            rows: m,
-            cols: m,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Lower),
-            name: l_name,
-        },
-        OperandInfo {
-            id: y_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: y_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
-    };
-    (calls, merged, infos)
+        vec![left.id],
+        Structure::Triangular(Uplo::Lower),
+        |l| format!("{l} := chol({}) (potrf)", left.name),
+    );
+    let y = b.push(
+        trsm(Side::Left, Uplo::Lower, Trans::No, m, n),
+        vec![l.id, right.id],
+        Structure::General,
+        |y| format!("{y} := {l}^-1*{} (trsm)", right.text),
+    );
+    b.push(
+        trsm(Side::Left, Uplo::Lower, Trans::Yes, m, n),
+        vec![l.id, y.id],
+        Structure::General,
+        |x| format!("{x} := {l}^-T*{y} (trsm)"),
+    );
 }
 
-/// Build the six-call pivoted LU realisation of a general inverse merge
-/// `A⁻¹·B`: `F := GETRF(A)` (the packed `L\U` factor with the pivot column),
-/// `L := tril(F)` and `U := triu(F)` (zero-FLOP triangle extractions),
-/// `Bₚ := P·B` (the pivot application), `Y := L⁻¹·Bₚ`, `X := U⁻¹·Y`.
-/// Introduces six intermediates, result last.
-fn build_lu_solve(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
-    let (m, n) = (left.rows, right.cols);
-    debug_assert_eq!(left.rows, left.cols, "general inverses are square");
-    let f_id = OperandId(base_id);
-    let l_id = OperandId(base_id + 1);
-    let u_id = OperandId(base_id + 2);
-    let bp_id = OperandId(base_id + 3);
-    let y_id = OperandId(base_id + 4);
-    let out_id = OperandId(base_id + 5);
-    let f_name = format!("M{base_m}");
-    let l_name = format!("M{}", base_m + 1);
-    let u_name = format!("M{}", base_m + 2);
-    let bp_name = format!("M{}", base_m + 3);
-    let y_name = format!("M{}", base_m + 4);
-    let out_name = format!("M{}", base_m + 5);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Getrf { n: m },
-            inputs: vec![left.id],
-            output: f_id,
-            label: format!("{f_name} := lu({}) (getrf)", left.name),
-        },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Lower,
-                n: m,
-            },
-            inputs: vec![f_id],
-            output: l_id,
-            label: format!("{l_name} := tril({f_name}) (factortri)"),
-        },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Upper,
-                n: m,
-            },
-            inputs: vec![f_id],
-            output: u_id,
-            label: format!("{u_name} := triu({f_name}) (factortri)"),
-        },
-        KernelCall {
-            op: KernelOp::PivotApply {
-                side: Side::Left,
-                m,
-                n,
-            },
-            inputs: vec![f_id, right.id],
-            output: bp_id,
-            label: format!("{bp_name} := P*{} (laswp)", right.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![l_id, bp_id],
-            output: y_id,
-            label: format!("{y_name} := {l_name}^-1*{bp_name} (trsm)"),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Upper,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![u_id, y_id],
-            output: out_id,
-            label: format!("{out_name} := {u_name}^-1*{y_name} (trsm)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: f_id,
-            rows: m,
-            cols: m + 1,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: f_name,
-        },
-        OperandInfo {
-            id: l_id,
-            rows: m,
-            cols: m,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Lower),
-            name: l_name,
-        },
-        OperandInfo {
-            id: u_id,
-            rows: m,
-            cols: m,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Upper),
-            name: u_name,
-        },
-        OperandInfo {
-            id: bp_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: bp_name,
-        },
-        OperandInfo {
-            id: y_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: y_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
-    };
-    (calls, merged, infos)
-}
-
-/// Build the three-call Cholesky realisation of a *right-side* SPD inverse
-/// merge `B·S⁻¹`: `L := POTRF(S)`, `Y := B·L⁻ᵀ`, `X := Y·L⁻¹` (from
-/// `S⁻¹ = L⁻ᵀ·L⁻¹`) — both solves right-side TRSMs, never a transpose
-/// round-trip. Introduces three intermediates, result last.
-fn build_cholesky_solve_right(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+/// The Cholesky realisation of a *right-side* SPD inverse merge `B·S⁻¹`:
+/// `L := POTRF(S)`, `Y := B·L⁻ᵀ`, `X := Y·L⁻¹` (from `S⁻¹ = L⁻ᵀ·L⁻¹`) —
+/// both solves right-side TRSMs, never a transpose round-trip.
+fn cholesky_solve_right(b: &mut MergeBuilder<'_>) {
+    let (left, right) = (b.left, b.right);
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(right.rows, right.cols, "SPD operands are square");
-    let l_id = OperandId(base_id);
-    let y_id = OperandId(base_id + 1);
-    let out_id = OperandId(base_id + 2);
-    let l_name = format!("M{base_m}");
-    let y_name = format!("M{}", base_m + 1);
-    let out_name = format!("M{}", base_m + 2);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Potrf {
-                uplo: Uplo::Lower,
-                n,
-            },
-            inputs: vec![right.id],
-            output: l_id,
-            label: format!("{l_name} := chol({}) (potrf)", right.name),
+    let l = b.push(
+        KernelOp::Potrf {
+            uplo: Uplo::Lower,
+            n,
         },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::Yes,
-                m,
-                n,
-            },
-            inputs: vec![l_id, left.id],
-            output: y_id,
-            label: format!("{y_name} := {}*{l_name}^-T (trsm)", left.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![l_id, y_id],
-            output: out_id,
-            label: format!("{out_name} := {y_name}*{l_name}^-1 (trsm)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: l_id,
-            rows: n,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Lower),
-            name: l_name,
-        },
-        OperandInfo {
-            id: y_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: y_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
-    };
-    (calls, merged, infos)
+        vec![right.id],
+        Structure::Triangular(Uplo::Lower),
+        |l| format!("{l} := chol({}) (potrf)", right.name),
+    );
+    let y = b.push(
+        trsm(Side::Right, Uplo::Lower, Trans::Yes, m, n),
+        vec![l.id, left.id],
+        Structure::General,
+        |y| format!("{y} := {}*{l}^-T (trsm)", left.text),
+    );
+    b.push(
+        trsm(Side::Right, Uplo::Lower, Trans::No, m, n),
+        vec![l.id, y.id],
+        Structure::General,
+        |x| format!("{x} := {y}*{l}^-1 (trsm)"),
+    );
 }
 
-/// Build the six-call pivoted LU realisation of a *right-side* general
-/// inverse merge `B·A⁻¹`: from `P·A = L·U` follows
-/// `A⁻¹ = U⁻¹·L⁻¹·P`, so `F := GETRF(A)`, `L := tril(F)`, `U := triu(F)`,
-/// `Y := B·U⁻¹`, `Z := Y·L⁻¹` (both right-side TRSMs), and last
-/// `X := Z·P` — the pivot application as *column* swaps. Introduces six
-/// intermediates, result last.
-fn build_lu_solve_right(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+/// The pivoted LU realisation of a general inverse merge `A⁻¹·B`:
+/// `F := GETRF(A)` (the packed `L\U` factor with the pivot column),
+/// `L := tril(F)` and `U := triu(F)` (zero-FLOP triangle extractions),
+/// `Bₚ := P·B` (the pivot application), `Y := L⁻¹·Bₚ`, `X := U⁻¹·Y`.
+fn lu_solve(b: &mut MergeBuilder<'_>) {
+    let (left, right) = (b.left, b.right);
+    let (m, n) = (left.rows, right.cols);
+    debug_assert_eq!(left.rows, left.cols, "general inverses are square");
+    let f = b.push(
+        KernelOp::Getrf { n: m },
+        vec![left.id],
+        Structure::General,
+        |f| format!("{f} := lu({}) (getrf)", left.name),
+    );
+    let l = b.push(
+        KernelOp::FactorTri {
+            uplo: Uplo::Lower,
+            n: m,
+        },
+        vec![f.id],
+        Structure::Triangular(Uplo::Lower),
+        |l| format!("{l} := tril({f}) (factortri)"),
+    );
+    let u = b.push(
+        KernelOp::FactorTri {
+            uplo: Uplo::Upper,
+            n: m,
+        },
+        vec![f.id],
+        Structure::Triangular(Uplo::Upper),
+        |u| format!("{u} := triu({f}) (factortri)"),
+    );
+    let bp = b.push(
+        KernelOp::PivotApply {
+            side: Side::Left,
+            m,
+            n,
+        },
+        vec![f.id, right.id],
+        Structure::General,
+        |bp| format!("{bp} := P*{} (laswp)", right.text),
+    );
+    let y = b.push(
+        trsm(Side::Left, Uplo::Lower, Trans::No, m, n),
+        vec![l.id, bp.id],
+        Structure::General,
+        |y| format!("{y} := {l}^-1*{bp} (trsm)"),
+    );
+    b.push(
+        trsm(Side::Left, Uplo::Upper, Trans::No, m, n),
+        vec![u.id, y.id],
+        Structure::General,
+        |x| format!("{x} := {u}^-1*{y} (trsm)"),
+    );
+}
+
+/// The pivoted LU realisation of a *right-side* general inverse merge
+/// `B·A⁻¹`: from `P·A = L·U` follows `A⁻¹ = U⁻¹·L⁻¹·P`, so
+/// `F := GETRF(A)`, `L := tril(F)`, `U := triu(F)`, `Y := B·U⁻¹`,
+/// `Z := Y·L⁻¹` (both right-side TRSMs), and last `X := Z·P` — the pivot
+/// application as *column* swaps.
+fn lu_solve_right(b: &mut MergeBuilder<'_>) {
+    let (left, right) = (b.left, b.right);
     let (m, n) = (left.rows, right.cols);
     debug_assert_eq!(right.rows, right.cols, "general inverses are square");
-    let f_id = OperandId(base_id);
-    let l_id = OperandId(base_id + 1);
-    let u_id = OperandId(base_id + 2);
-    let y_id = OperandId(base_id + 3);
-    let z_id = OperandId(base_id + 4);
-    let out_id = OperandId(base_id + 5);
-    let f_name = format!("M{base_m}");
-    let l_name = format!("M{}", base_m + 1);
-    let u_name = format!("M{}", base_m + 2);
-    let y_name = format!("M{}", base_m + 3);
-    let z_name = format!("M{}", base_m + 4);
-    let out_name = format!("M{}", base_m + 5);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Getrf { n },
-            inputs: vec![right.id],
-            output: f_id,
-            label: format!("{f_name} := lu({}) (getrf)", right.name),
+    let f = b.push(
+        KernelOp::Getrf { n },
+        vec![right.id],
+        Structure::General,
+        |f| format!("{f} := lu({}) (getrf)", right.name),
+    );
+    let l = b.push(
+        KernelOp::FactorTri {
+            uplo: Uplo::Lower,
+            n,
         },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Lower,
-                n,
-            },
-            inputs: vec![f_id],
-            output: l_id,
-            label: format!("{l_name} := tril({f_name}) (factortri)"),
+        vec![f.id],
+        Structure::Triangular(Uplo::Lower),
+        |l| format!("{l} := tril({f}) (factortri)"),
+    );
+    let u = b.push(
+        KernelOp::FactorTri {
+            uplo: Uplo::Upper,
+            n,
         },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Upper,
-                n,
-            },
-            inputs: vec![f_id],
-            output: u_id,
-            label: format!("{u_name} := triu({f_name}) (factortri)"),
+        vec![f.id],
+        Structure::Triangular(Uplo::Upper),
+        |u| format!("{u} := triu({f}) (factortri)"),
+    );
+    let y = b.push(
+        trsm(Side::Right, Uplo::Upper, Trans::No, m, n),
+        vec![u.id, left.id],
+        Structure::General,
+        |y| format!("{y} := {}*{u}^-1 (trsm)", left.text),
+    );
+    let z = b.push(
+        trsm(Side::Right, Uplo::Lower, Trans::No, m, n),
+        vec![l.id, y.id],
+        Structure::General,
+        |z| format!("{z} := {y}*{l}^-1 (trsm)"),
+    );
+    b.push(
+        KernelOp::PivotApply {
+            side: Side::Right,
+            m,
+            n,
         },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Upper,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![u_id, left.id],
-            output: y_id,
-            label: format!("{y_name} := {}*{u_name}^-1 (trsm)", left.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Right,
-                uplo: Uplo::Lower,
-                trans: Trans::No,
-                m,
-                n,
-            },
-            inputs: vec![l_id, y_id],
-            output: z_id,
-            label: format!("{z_name} := {y_name}*{l_name}^-1 (trsm)"),
-        },
-        KernelCall {
-            op: KernelOp::PivotApply {
-                side: Side::Right,
-                m,
-                n,
-            },
-            inputs: vec![f_id, z_id],
-            output: out_id,
-            label: format!("{out_name} := {z_name}*P (laswp)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: f_id,
-            rows: n,
-            cols: n + 1,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: f_name,
-        },
-        OperandInfo {
-            id: l_id,
-            rows: n,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Lower),
-            name: l_name,
-        },
-        OperandInfo {
-            id: u_id,
-            rows: n,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Upper),
-            name: u_name,
-        },
-        OperandInfo {
-            id: y_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: y_name,
-        },
-        OperandInfo {
-            id: z_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: z_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: m,
-            cols: n,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: m,
-        cols: n,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
-    };
-    (calls, merged, infos)
+        vec![f.id, z.id],
+        Structure::General,
+        |x| format!("{x} := {z}*P (laswp)"),
+    );
 }
 
-/// Build the four-call QR realisation of a pseudo-inverse merge `A⁺·B` (the
-/// least-squares solve `argmin‖A·X − B‖₂` for a tall `A`): `F := QR(A)` (the
-/// packed Householder factor with the tau column), `R := triu(F)` (zero-FLOP
-/// triangle extraction), `C := Q₁ᵀ·B` (ORMQR), `X := R⁻¹·C`. Introduces four
-/// intermediates, result last.
-fn build_qr_solve(
-    left: &Segment,
-    right: &Segment,
-    base_id: usize,
-    base_m: usize,
-) -> (Vec<KernelCall>, Segment, Vec<OperandInfo>) {
+/// The QR realisation of a pseudo-inverse merge `A⁺·B` (the least-squares
+/// solve `argmin‖A·X − B‖₂` for a tall `A`): `F := QR(A)` (the packed
+/// Householder factor with the tau column), `R := triu(F)` (zero-FLOP
+/// triangle extraction), `C := Q₁ᵀ·B` (ORMQR), `X := R⁻¹·C`.
+fn qr_solve(b: &mut MergeBuilder<'_>) {
+    let (left, right) = (b.left, b.right);
     // The pinv-marked segment's logical shape is A⁺'s (cols × rows of the
     // stored operand): the factored matrix A itself is `mm × nn`.
     let (nn, mm, k) = (left.rows, left.cols, right.cols);
     debug_assert!(mm >= nn, "validated before enumeration starts");
-    debug_assert_eq!(left.cols, right.rows, "validated by Expr::shape");
-    let f_id = OperandId(base_id);
-    let r_id = OperandId(base_id + 1);
-    let c_id = OperandId(base_id + 2);
-    let out_id = OperandId(base_id + 3);
-    let f_name = format!("M{base_m}");
-    let r_name = format!("M{}", base_m + 1);
-    let c_name = format!("M{}", base_m + 2);
-    let out_name = format!("M{}", base_m + 3);
-    let calls = vec![
-        KernelCall {
-            op: KernelOp::Qr { m: mm, n: nn },
-            inputs: vec![left.id],
-            output: f_id,
-            label: format!("{f_name} := qr({}) (qr)", left.name),
+    let f = b.push(
+        KernelOp::Qr { m: mm, n: nn },
+        vec![left.id],
+        Structure::General,
+        |f| format!("{f} := qr({}) (qr)", left.name),
+    );
+    let r = b.push(
+        KernelOp::FactorTri {
+            uplo: Uplo::Upper,
+            n: nn,
         },
-        KernelCall {
-            op: KernelOp::FactorTri {
-                uplo: Uplo::Upper,
-                n: nn,
-            },
-            inputs: vec![f_id],
-            output: r_id,
-            label: format!("{r_name} := triu({f_name}) (factortri)"),
-        },
-        KernelCall {
-            op: KernelOp::Ormqr { m: mm, n: nn, k },
-            inputs: vec![f_id, right.id],
-            output: c_id,
-            label: format!("{c_name} := Q^T*{} (ormqr)", right.text),
-        },
-        KernelCall {
-            op: KernelOp::Trsm {
-                side: Side::Left,
-                uplo: Uplo::Upper,
-                trans: Trans::No,
-                m: nn,
-                n: k,
-            },
-            inputs: vec![r_id, c_id],
-            output: out_id,
-            label: format!("{out_name} := {r_name}^-1*{c_name} (trsm)"),
-        },
-    ];
-    let infos = vec![
-        OperandInfo {
-            id: f_id,
-            rows: mm,
-            cols: nn + 1,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: f_name,
-        },
-        OperandInfo {
-            id: r_id,
-            rows: nn,
-            cols: nn,
-            role: OperandRole::Intermediate,
-            structure: Structure::Triangular(Uplo::Upper),
-            name: r_name,
-        },
-        OperandInfo {
-            id: c_id,
-            rows: nn,
-            cols: k,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: c_name,
-        },
-        OperandInfo {
-            id: out_id,
-            rows: nn,
-            cols: k,
-            role: OperandRole::Intermediate,
-            structure: Structure::General,
-            name: out_name.clone(),
-        },
-    ];
-    let merged = Segment {
-        id: out_id,
-        rows: nn,
-        cols: k,
-        trans: Trans::No,
-        leaf: None,
-        storage: Storage::General,
-        tri: None,
-        spd: false,
-        inv: false,
-        pinv: false,
-        start: left.start,
-        end: right.end,
-        text: format!("({} {})", left.text, right.text),
-        name: out_name,
-    };
-    (calls, merged, infos)
+        vec![f.id],
+        Structure::Triangular(Uplo::Upper),
+        |r| format!("{r} := triu({f}) (factortri)"),
+    );
+    let c = b.push(
+        KernelOp::Ormqr { m: mm, n: nn, k },
+        vec![f.id, right.id],
+        Structure::General,
+        |c| format!("{c} := Q^T*{} (ormqr)", right.text),
+    );
+    b.push(
+        trsm(Side::Left, Uplo::Upper, Trans::No, nn, k),
+        vec![r.id, c.id],
+        Structure::General,
+        |x| format!("{x} := {r}^-1*{c} (trsm)"),
+    );
 }
 
 /// A memoized lower bound on the FLOPs still needed to merge `segments` into

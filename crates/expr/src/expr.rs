@@ -2,8 +2,8 @@
 //!
 //! This is the front end of the mini-LAMP pipeline: users (and the examples)
 //! write an expression tree such as `A * Aᵀ * B` or `L⁻¹ * B` with `L`
-//! triangular, the [`generator`](crate::generator) recognises which algorithm
-//! family applies, and the enumerators produce the candidate algorithm set.
+//! triangular, and the general enumerator in [`crate::enumerate`] produces
+//! the candidate algorithm set.
 
 use lamb_matrix::{Structure, Trans, Uplo};
 use std::fmt;

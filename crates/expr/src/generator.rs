@@ -1,19 +1,8 @@
-//! From expression trees to candidate algorithm sets (the "generate all
-//! mathematically equivalent algorithms" step that tools like Linnea perform
-//! before selecting one).
-//!
-//! Enumeration is handled uniformly by the general engine in
-//! [`crate::enumerate`]: every multiplication order of the flattened factor
-//! list, expanded by the rewrite rules of [`crate::rewrite`] (SYRK for Gram
-//! products, SYMM and triangle copies for symmetric intermediates). The
-//! pattern classification returned alongside the algorithms is purely
-//! informational — it reports which of the paper's studied shapes the
-//! expression matches, but no longer decides *how* enumeration happens.
+//! The error type of algorithm generation, shared by the general engine in
+//! [`crate::enumerate`], the paper's reference tables in [`crate::chain`]
+//! and [`crate::aatb`], and the [`Expression`](crate::Expression) adapters.
 
-use crate::algorithm::Algorithm;
-use crate::enumerate::{enumerate_expr_algorithms_with, EnumerateOptions};
-use crate::expr::{Expr, Factor, ShapeError};
-use lamb_matrix::Structure;
+use crate::expr::ShapeError;
 use std::fmt;
 
 /// Errors produced while generating algorithms from an expression tree.
@@ -146,233 +135,9 @@ impl From<ShapeError> for GenerateError {
     }
 }
 
-/// Which of the paper's studied shapes [`generate_algorithms`] recognised
-/// (informational; enumeration is the same general engine either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecognisedPattern {
-    /// A plain matrix chain of `p` distinct, untransposed operands.
-    Chain(usize),
-    /// The paper's `A·Aᵀ·B` expression.
-    Aatb,
-    /// A product involving triangular-structured (or inverse-marked
-    /// triangular) operands — the TRMM/TRSM extension family.
-    Triangular,
-    /// A product involving symmetric positive-definite operands — the
-    /// SYMM/POTRF extension family (SPD solves realise through Cholesky).
-    Spd,
-    /// A product involving a general-matrix solve: an inverse of an
-    /// unstructured square operand (realised through pivoted LU) or a
-    /// pseudo-inverse (realised through QR) — the GETRF/QR extension family.
-    GeneralSolve,
-    /// Any other product of (possibly transposed, possibly repeated) leaves.
-    GenericProduct,
-}
-
-/// Generate the candidate algorithm set for an expression tree and report
-/// which of the paper's patterns it matches.
-///
-/// # Errors
-///
-/// Returns [`GenerateError`] if the expression is shape-inconsistent, empty,
-/// or reuses an operand name with different shapes.
-pub fn generate_algorithms(
-    expr: &Expr,
-) -> Result<(RecognisedPattern, Vec<Algorithm>), GenerateError> {
-    generate_algorithms_with(expr, &EnumerateOptions::default())
-}
-
-/// [`generate_algorithms`] with explicit enumerator options (top-k FLOPs
-/// pruning, rewrite toggling).
-///
-/// # Errors
-///
-/// See [`generate_algorithms`].
-pub fn generate_algorithms_with(
-    expr: &Expr,
-    options: &EnumerateOptions,
-) -> Result<(RecognisedPattern, Vec<Algorithm>), GenerateError> {
-    let algorithms = enumerate_expr_algorithms_with(expr, options)?;
-    Ok((classify(expr), algorithms))
-}
-
-/// Classify the expression against the paper's studied shapes.
-fn classify(expr: &Expr) -> RecognisedPattern {
-    let factors = expr.factors();
-    if factors
-        .iter()
-        .any(|f| f.pinv || (f.inv && f.var.structure == Structure::General))
-    {
-        RecognisedPattern::GeneralSolve
-    } else if factors.iter().any(|f| f.var.structure.is_spd()) {
-        RecognisedPattern::Spd
-    } else if factors.iter().any(|f| f.var.triangle().is_some() || f.inv) {
-        RecognisedPattern::Triangular
-    } else if factors.len() >= 2 && is_plain_chain(&factors) {
-        RecognisedPattern::Chain(factors.len())
-    } else if is_aatb(&factors) {
-        RecognisedPattern::Aatb
-    } else {
-        RecognisedPattern::GenericProduct
-    }
-}
-
-/// Whether every factor is a distinct untransposed operand.
-fn is_plain_chain(factors: &[Factor]) -> bool {
-    if factors.iter().any(|f| f.trans) {
-        return false;
-    }
-    let mut names: Vec<&str> = factors.iter().map(|f| f.var.name.as_str()).collect();
-    names.sort_unstable();
-    let before = names.len();
-    names.dedup();
-    names.len() == before
-}
-
-/// Whether the factor list matches `A, Aᵀ, B`.
-fn is_aatb(factors: &[Factor]) -> bool {
-    if factors.len() != 3 {
-        return false;
-    }
-    let (a, at, b) = (&factors[0], &factors[1], &factors[2]);
-    a.var.name == at.var.name && !a.trans && at.trans && !b.trans && a.var.name != b.var.name
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn recognises_abcd_chain() {
-        let expr = Expr::product(vec![
-            Expr::var("A", 10, 20),
-            Expr::var("B", 20, 30),
-            Expr::var("C", 30, 40),
-            Expr::var("D", 40, 50),
-        ]);
-        let (pattern, algs) = generate_algorithms(&expr).unwrap();
-        assert_eq!(pattern, RecognisedPattern::Chain(4));
-        assert_eq!(algs.len(), 6);
-    }
-
-    #[test]
-    fn recognises_aatb() {
-        let a = Expr::var("A", 10, 20);
-        let b = Expr::var("B", 10, 30);
-        let expr = a.clone().mul(a.t()).mul(b);
-        let (pattern, algs) = generate_algorithms(&expr).unwrap();
-        assert_eq!(pattern, RecognisedPattern::Aatb);
-        assert_eq!(algs.len(), 5);
-        for alg in &algs {
-            assert!(alg.is_well_formed());
-            let out = alg.output().unwrap();
-            assert_eq!((out.rows, out.cols), (10, 30));
-        }
-    }
-
-    #[test]
-    fn generic_products_now_enumerate_every_order() {
-        // X := A^T * B * A is not one of the studied patterns, but the
-        // general engine still enumerates both multiplication orders (the
-        // legacy generator lowered this to a single left-to-right sequence).
-        let a = Expr::var("A", 10, 6);
-        let b = Expr::var("B", 10, 10);
-        let expr = a.clone().t().mul(b).mul(a);
-        let (pattern, algs) = generate_algorithms(&expr).unwrap();
-        assert_eq!(pattern, RecognisedPattern::GenericProduct);
-        assert_eq!(algs.len(), 2);
-        for alg in &algs {
-            assert!(alg.is_well_formed());
-            assert_eq!(alg.calls.len(), 2);
-            let out = alg.output().unwrap();
-            assert_eq!((out.rows, out.cols), (6, 6));
-        }
-        // Left-to-right order: (A^T B) then (.. A):
-        // step1: A^T(6x10) * B(10x10) -> 6x10, 2*6*10*10 = 1200
-        // step2: M1(6x10) * A(10x6) -> 6x6, 2*6*6*10 = 720
-        assert_eq!(algs[0].flops(), 1200 + 720);
-    }
-
-    #[test]
-    fn repeated_untransposed_operands_are_not_a_plain_chain() {
-        let a = Expr::var("A", 8, 8);
-        let expr = a.clone().mul(a);
-        let (pattern, algs) = generate_algorithms(&expr).unwrap();
-        assert_eq!(pattern, RecognisedPattern::GenericProduct);
-        assert_eq!(algs[0].flops(), 2 * 8 * 8 * 8);
-    }
-
-    #[test]
-    fn two_factor_chain_is_still_a_chain() {
-        let expr = Expr::var("A", 4, 5).mul(Expr::var("B", 5, 6));
-        let (pattern, algs) = generate_algorithms(&expr).unwrap();
-        assert_eq!(pattern, RecognisedPattern::Chain(2));
-        assert_eq!(algs.len(), 1);
-    }
-
-    #[test]
-    fn shape_errors_propagate() {
-        let expr = Expr::var("A", 4, 5).mul(Expr::var("B", 6, 7));
-        assert!(matches!(
-            generate_algorithms(&expr),
-            Err(GenerateError::Shape(_))
-        ));
-    }
-
-    #[test]
-    fn transposed_chain_is_not_a_plain_chain() {
-        let expr = Expr::var("A", 5, 4).t().mul(Expr::var("B", 5, 6));
-        let (pattern, _) = generate_algorithms(&expr).unwrap();
-        assert_eq!(pattern, RecognisedPattern::GenericProduct);
-    }
-
-    #[test]
-    fn single_operand_expression() {
-        let expr = Expr::var("A", 3, 3);
-        let (pattern, algs) = generate_algorithms(&expr).unwrap();
-        assert_eq!(pattern, RecognisedPattern::GenericProduct);
-        assert_eq!(algs[0].calls.len(), 0);
-        assert_eq!(algs[0].flops(), 0);
-    }
-
-    #[test]
-    fn pruning_options_thread_through() {
-        let dims = [9usize, 8, 7, 6, 5, 4];
-        let factors: Vec<Expr> = (0..5)
-            .map(|i| {
-                Expr::var(
-                    &char::from(b'A' + u8::try_from(i).unwrap()).to_string(),
-                    dims[i],
-                    dims[i + 1],
-                )
-            })
-            .collect();
-        let expr = Expr::product(factors);
-        let opts = EnumerateOptions {
-            top_k: Some(4),
-            ..EnumerateOptions::default()
-        };
-        let (pattern, algs) = generate_algorithms_with(&expr, &opts).unwrap();
-        assert_eq!(pattern, RecognisedPattern::Chain(5));
-        assert_eq!(algs.len(), 4);
-    }
-
-    #[test]
-    fn general_solves_classify_as_their_own_pattern() {
-        let a = Expr::var("A", 6, 6);
-        let b = Expr::var("B", 6, 2);
-        let (pattern, algs) = generate_algorithms(&a.inv().mul(b)).unwrap();
-        assert_eq!(pattern, RecognisedPattern::GeneralSolve);
-        assert_eq!(algs.len(), 1);
-        let t = Expr::var("T", 9, 4);
-        let rhs = Expr::var("b", 9, 1);
-        let (pattern, _) = generate_algorithms(&t.pinv().mul(rhs)).unwrap();
-        assert_eq!(pattern, RecognisedPattern::GeneralSolve);
-        // Structured inverses keep their existing classifications.
-        use lamb_matrix::Uplo;
-        let l = Expr::tri_var("L", 5, Uplo::Lower);
-        let (pattern, _) = generate_algorithms(&l.inv().mul(Expr::var("C", 5, 2))).unwrap();
-        assert_eq!(pattern, RecognisedPattern::Triangular);
-    }
 
     #[test]
     fn error_messages_are_informative() {

@@ -67,7 +67,7 @@ pub use enumerate::{
 };
 pub use expr::{Expr, Factor, ShapeError, Var};
 pub use expression::Expression;
-pub use generator::{generate_algorithms, GenerateError, RecognisedPattern};
+pub use generator::GenerateError;
 pub use kernel_call::{KernelCall, KernelOp};
 pub use operand::OperandId;
 pub use parse::{ParseError, TreeExpression};

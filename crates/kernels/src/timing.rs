@@ -28,7 +28,7 @@ impl TimingResult {
             return 0.0;
         }
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+        sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         if n % 2 == 1 {
             sorted[n / 2]
@@ -124,6 +124,11 @@ mod tests {
             samples: vec![4.0, 1.0, 3.0, 2.0],
         };
         assert!((even.median() - 2.5).abs() < 1e-15);
+        // A NaN sample sorts last instead of panicking.
+        let nan = TimingResult {
+            samples: vec![2.0, f64::NAN, 1.0],
+        };
+        assert_eq!(nan.median(), 2.0);
     }
 
     #[test]

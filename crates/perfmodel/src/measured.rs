@@ -229,7 +229,7 @@ impl MeasuredExecutor {
     }
 
     fn median(mut samples: Vec<f64>) -> f64 {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        samples.sort_by(f64::total_cmp);
         let n = samples.len();
         if n == 0 {
             0.0
@@ -595,6 +595,8 @@ mod tests {
         assert_eq!(MeasuredExecutor::median(vec![2.0]), 2.0);
         assert_eq!(MeasuredExecutor::median(vec![3.0, 1.0]), 2.0);
         assert_eq!(MeasuredExecutor::median(vec![5.0, 1.0, 3.0]), 3.0);
+        // A NaN sample sorts last instead of panicking.
+        assert_eq!(MeasuredExecutor::median(vec![f64::NAN, 1.0, 3.0]), 3.0);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl InstanceEvaluation {
             .measurements
             .iter()
             .map(|m| m.seconds)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite times"))
+            .min_by(f64::total_cmp)
         else {
             return Vec::new();
         };
@@ -192,6 +192,8 @@ mod tests {
         let e = eval(&[(100, 2.0), (100, 1.5), (200, 1.0), (200, 1.0)]);
         assert_eq!(e.cheapest_set(), vec![0, 1]);
         assert_eq!(e.fastest_set(), vec![2, 3]);
+        // A NaN time is never the fastest, and does not panic.
+        assert_eq!(eval(&[(100, f64::NAN), (200, 1.0)]).fastest_set(), vec![1]);
     }
 
     #[test]

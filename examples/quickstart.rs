@@ -20,11 +20,8 @@ fn main() {
     let c = Expr::var("C", dims[2], dims[3]);
     let d = Expr::var("D", dims[3], dims[4]);
     let chain = Expr::product(vec![a, b, c, d]);
-    let (pattern, algorithms) = generate_algorithms(&chain).expect("well-shaped expression");
-    println!(
-        "expression {chain} recognised as {pattern:?}: {} algorithms",
-        algorithms.len()
-    );
+    let algorithms = enumerate_expr_algorithms(&chain).expect("well-shaped expression");
+    println!("expression {chain}: {} algorithms", algorithms.len());
 
     let mut executor = SimulatedExecutor::paper_like();
     let evaluation = evaluate_instance(&dims, &algorithms, &mut executor);
@@ -49,11 +46,8 @@ fn main() {
     let a = Expr::var("A", d0, d1);
     let bmat = Expr::var("B", d0, d2);
     let aatb = a.clone().mul(a.t()).mul(bmat);
-    let (pattern, algorithms) = generate_algorithms(&aatb).expect("well-shaped expression");
-    println!(
-        "\nexpression {aatb} recognised as {pattern:?}: {} algorithms",
-        algorithms.len()
-    );
+    let algorithms = enumerate_expr_algorithms(&aatb).expect("well-shaped expression");
+    println!("\nexpression {aatb}: {} algorithms", algorithms.len());
 
     let evaluation = evaluate_instance(&[d0, d1, d2], &algorithms, &mut executor);
     println!("\n{:<38} {:>16} {:>12}", "algorithm", "FLOPs", "time [ms]");

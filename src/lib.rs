@@ -82,7 +82,7 @@ pub mod prelude {
         run_full_pipeline, run_random_search, LineConfig, PredictConfig, SearchConfig,
     };
     pub use lamb_expr::expr::Expr;
-    pub use lamb_expr::generator::{generate_algorithms, GenerateError, RecognisedPattern};
+    pub use lamb_expr::generator::GenerateError;
     pub use lamb_expr::{
         enumerate_aatb_algorithms, enumerate_chain_algorithms, enumerate_expr_algorithms,
         enumerate_expr_algorithms_with, optimal_chain_order, AatbExpression, Algorithm,
