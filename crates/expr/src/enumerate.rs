@@ -1081,6 +1081,8 @@ mod tests {
         }
         // The two orders contract the dimensions differently.
         assert_ne!(algs[0].calls[0].op, algs[1].calls[0].op);
+        // Left to right: A^T·B (2·6·10·10 FLOPs), then M1·A (2·6·6·10).
+        assert_eq!(algs[0].flops(), 1200 + 720);
     }
 
     #[test]
