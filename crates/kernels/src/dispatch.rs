@@ -252,7 +252,7 @@ impl Kernel<'_> {
             }
             Kernel::Getrf { a } => copy_into(c, &getrf_packed(a, cfg)?),
             Kernel::Qr { a } => copy_into(c, &qr_packed(a, cfg)?),
-            Kernel::Ormqr { f, b } => copy_into(c, &ormqr(f, b)?),
+            Kernel::Ormqr { f, b } => copy_into(c, &ormqr(f, b, cfg)?),
             Kernel::FactorTri { uplo, f } => copy_into(c, &factor_triangle(uplo, f)?),
             Kernel::PivotApply { side, f, b } => match side {
                 Side::Left => copy_into(c, &pivot_apply(f, b)?),

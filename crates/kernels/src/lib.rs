@@ -80,7 +80,7 @@ pub use getrf::{
 };
 pub use microkernel::{microkernel, microkernel_dyn};
 pub use potrf::{potrf, potrf_naive};
-pub use qr::{ormqr, qr, qr_naive, qr_packed};
+pub use qr::{ormqr, ormqr_naive, qr, qr_naive, qr_packed};
 pub use solver::{solve_auto, solver_for, CholeskySolver, LuSolver, QrSolver, Solver};
 pub use symm::symm;
 pub use syrk::syrk;

@@ -234,22 +234,19 @@ pub fn qr_packed(a: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
 ///
 /// Returns [`MatrixError::DimensionMismatch`] when `f` has no tau column,
 /// `b`'s row count differs from `f`'s, or `n > m`.
-pub fn ormqr(f: &Matrix, b: &Matrix) -> Result<Matrix> {
-    let Some(n) = f.cols().checked_sub(1) else {
-        return Err(MatrixError::DimensionMismatch {
-            op: "ormqr",
-            lhs: f.shape(),
-            rhs: b.shape(),
-        });
-    };
+pub fn ormqr(f: &Matrix, b: &Matrix, _cfg: &BlockConfig) -> Result<Matrix> {
+    ormqr_naive(f, b)
+}
+
+/// Reference ORMQR: the reflectors applied one rank-1 update at a time, in
+/// factorisation order. Used by the tests to validate [`ormqr`].
+///
+/// # Errors
+///
+/// Same checks as [`ormqr`].
+pub fn ormqr_naive(f: &Matrix, b: &Matrix) -> Result<Matrix> {
+    let n = check_factor(f, b)?;
     let m = f.rows();
-    if b.rows() != m || n > m {
-        return Err(MatrixError::DimensionMismatch {
-            op: "ormqr",
-            lhs: f.shape(),
-            rhs: b.shape(),
-        });
-    }
     let k = b.cols();
     // Qᵀ·B = H_{n-1}⋯H_0·B: apply the reflectors in factorisation order.
     let mut work = b.clone();
@@ -272,6 +269,21 @@ pub fn ormqr(f: &Matrix, b: &Matrix) -> Result<Matrix> {
         }
     }
     Ok(Matrix::from_fn(n, k, |i, j| work[(i, j)]))
+}
+
+/// The reflector count `n` of a packed factor `f` (`m x (n+1)`) applied to
+/// `b`, or the shape error [`ormqr`] reports.
+fn check_factor(f: &Matrix, b: &Matrix) -> Result<usize> {
+    let mismatch = || MatrixError::DimensionMismatch {
+        op: "ormqr",
+        lhs: f.shape(),
+        rhs: b.shape(),
+    };
+    let n = f.cols().checked_sub(1).ok_or_else(mismatch)?;
+    if b.rows() != f.rows() || n > f.rows() {
+        return Err(mismatch());
+    }
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -324,7 +336,7 @@ mod tests {
             "m {m} n {n}: reconstruction diff {diff}"
         );
         // ORMQR must agree: Qᵀ·A is [R; 0], so its top n rows are R.
-        let qta = ormqr(&f, &a).unwrap();
+        let qta = ormqr(&f, &a, cfg).unwrap();
         assert!(max_abs_diff(&qta, &r).unwrap() < 1e-10 * (m as f64).max(1.0));
     }
 
@@ -373,7 +385,7 @@ mod tests {
         let b = random_seeded(m, k, 10);
         let f = qr_packed(&a, &cfg).unwrap();
         let r = factor_triangle(Uplo::Upper, &f).unwrap();
-        let c = ormqr(&f, &b).unwrap();
+        let c = ormqr(&f, &b, &cfg).unwrap();
         let mut x = Matrix::zeros(n, k);
         trsm_naive(
             Side::Left,
@@ -447,11 +459,11 @@ mod tests {
         ));
         // ORMQR shape errors.
         let b = Matrix::zeros(4, 2);
-        assert!(ormqr(&Matrix::zeros(4, 0), &b).is_err());
-        assert!(ormqr(&Matrix::zeros(3, 3), &b).is_err());
-        assert!(ormqr(&Matrix::zeros(4, 6), &b).is_err());
+        assert!(ormqr(&Matrix::zeros(4, 0), &b, &cfg).is_err());
+        assert!(ormqr(&Matrix::zeros(3, 3), &b, &cfg).is_err());
+        assert!(ormqr(&Matrix::zeros(4, 6), &b, &cfg).is_err());
         // Degenerate ORMQR: no reflectors leaves the top 0 rows.
-        let c = ormqr(&Matrix::zeros(4, 1), &b).unwrap();
+        let c = ormqr(&Matrix::zeros(4, 1), &b, &cfg).unwrap();
         assert_eq!(c.shape(), (0, 2));
     }
 

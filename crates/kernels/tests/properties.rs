@@ -235,7 +235,7 @@ proptest! {
         // ORMQR preserves Gram structure: (Qᵀa)ᵀ(Qᵀa) restricted to the top
         // n rows equals RᵀR = aᵀa (Q orthogonal and a in Q's column span).
         let f = qr_packed(&a, &cfg).unwrap();
-        let qta = ormqr(&f, &a).unwrap();
+        let qta = ormqr(&f, &a, &cfg).unwrap();
         let r = factor_triangle(Uplo::Upper, &f).unwrap();
         prop_assert!(max_abs_diff(&qta, &r).unwrap() < 1e-9 * norm);
         let mut gram_a = Matrix::zeros(n, n);
