@@ -96,7 +96,7 @@ fn main() {
                 .iter()
                 .map(|n| ((*n as f64 * opts.scale) as usize).max(64))
                 .collect(),
-            1,
+            3,
         )
     } else {
         (vec![256, 512, 1024], 3)

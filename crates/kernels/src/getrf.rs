@@ -8,33 +8,37 @@
 //! (LAPACK `ipiv` convention, zero-based), so `P` is recovered by replaying
 //! the swaps in order.
 //!
-//! Structure on the shared [`BlockedDriver`](crate::driver::BlockedDriver)
-//! engine: the classic **right-looking blocked algorithm**. The matrix is
-//! walked in column panels of [`BlockConfig::tri_block`] columns; each step
+//! Structure: a **recursive right-looking** algorithm (Toledo's recursive
+//! LU) on in-place views of `A`. A column range wider than `BASE` is split
+//! at `k`, where `k` is [`BlockConfig::tri_block`] when the range is wider
+//! (the outer panel width) and otherwise about half the range (the
+//! recursion inside a panel). Each split
 //!
-//! 1. factors the panel with the scalar unblocked partial-pivot recurrence,
-//!    applying each row swap across the *full* width of the matrix as it is
-//!    found (reporting [`MatrixError::SingularDiagonal`] on an exactly-zero
-//!    pivot column),
-//! 2. computes the row panel `U₁₂ := L₁₁⁻¹·A₁₂` with one
-//!    [`crate::trsm::trsm`] solve against the unit-lower diagonal block, and
-//! 3. folds the panels into the trailing submatrix with one rank-`kb`
-//!    [`crate::gemm::gemm`] update `A₂₂ -= L₂₁·U₁₂` (`alpha = -1`,
-//!    `beta = 1`).
+//! 1. factors the left `k` columns, full height, recursively,
+//! 2. applies their row swaps to the right columns,
+//! 3. computes `U₁₂ := L₁₁⁻¹·A₁₂` in place with the recursive triangular
+//!    solve of [`crate::trsm`] on the unit-lower block,
+//! 4. updates `A₂₂ -= L₂₁·U₁₂` with one GEMM-shaped update on the packed
+//!    core, and
+//! 5. factors `A₂₂` recursively and applies its row swaps to `L₂₁`.
 //!
-//! Steps 2 and 3 carry the `2n³/3` bulk of the work (see
-//! [`crate::flops::getrf_flops`]) and both run on the packed, cache-blocked,
-//! Rayon-capable engine — GETRF adds no loop nest of its own beyond the
-//! scalar panel factor.
+//! Column ranges of at most `BASE` are factored by a scalar loop over
+//! contiguous columns, which reports [`MatrixError::SingularDiagonal`] on a
+//! pivot column that is exactly zero or holds a NaN. That loop is
+//! `O(n²·BASE)` of the `2n³/3` FLOPs (see [`crate::flops::getrf_flops`]);
+//! everything else runs on the packed core. The one copy per split is
+//! `U₁₂`, which shares its columns with `A₂₂`.
 //!
 //! [`getrf_packed`] produces the single-operand packed form the kernel-call
 //! IR uses: an `n x (n+1)` matrix with the LU factors in columns `0..n` and
 //! the pivot indices, stored as `f64`, in column `n`.
 
 use crate::config::BlockConfig;
-use crate::gemm::gemm;
-use crate::trsm::trsm;
+use crate::trsm::{column_pair, gemm_acc, owned, solve, split, Triangle};
 use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
+
+/// Widest column range factored by the scalar loop.
+const BASE: usize = 8;
 
 /// Factor the square matrix `a` in place as `P·A = L·U` with partial
 /// pivoting. On return `piv` holds, for each step `j`, the absolute index of
@@ -44,68 +48,122 @@ use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo}
 ///
 /// Returns [`MatrixError::NotSquare`] for rectangular input and
 /// [`MatrixError::SingularDiagonal`] (with the absolute pivot index) when a
-/// pivot column is exactly zero, in which case the leading part of the
-/// factorisation is complete.
+/// pivot column is exactly zero or holds a NaN; `a` and `piv` then hold a
+/// partial factorisation.
 pub fn getrf(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>, cfg: &BlockConfig) -> Result<()> {
     let n = check_square(a)?;
     piv.clear();
-    piv.reserve(n);
+    piv.resize(n, 0);
+    lu(a.subview_mut(0, 0, n, n), piv, 0, cfg)
+}
+
+/// Factor the view `a` (at least as many rows as columns), whose first
+/// column has absolute index `offset`. `piv[j]` receives the row of `a`
+/// swapped into row `j`; every swap is applied across all of `a`'s columns.
+fn lu(mut a: MatrixViewMut<'_>, piv: &mut [usize], offset: usize, cfg: &BlockConfig) -> Result<()> {
+    let (m, n) = (a.rows(), a.cols());
+    if n <= BASE {
+        return lu_base(&mut a, piv, offset);
+    }
     let tb = cfg.tri_block.max(1);
-    let mut k0 = 0;
-    while k0 < n {
-        let kb = tb.min(n - k0);
-        factor_panel(a, piv, k0, kb)?;
-        let rest = n - (k0 + kb);
-        if rest > 0 {
-            // The freshly factored unit-lower diagonal block, materialised
-            // with its implicit unit diagonal so the TRSM can borrow it
-            // immutably while the row panel of `a` is written. `kb` is at most
-            // `tri_block`, so the copy is O(tri_block²) per step.
-            let l11 = Matrix::from_fn(kb, kb, |i, j| match i.cmp(&j) {
-                std::cmp::Ordering::Greater => a.at(k0 + i, k0 + j),
-                std::cmp::Ordering::Equal => 1.0,
-                std::cmp::Ordering::Less => 0.0,
-            });
-            // Row panel: U12 := L11⁻¹ · A12.
-            let a12 = Matrix::from_fn(kb, rest, |i, j| a.at(k0 + i, k0 + kb + j));
-            let mut u12 = Matrix::zeros(kb, rest);
-            trsm(
-                Side::Left,
-                Uplo::Lower,
-                Trans::No,
-                1.0,
-                &l11.view(),
-                &a12.view(),
-                &mut u12.view_mut(),
-                cfg,
-            )?;
-            for j in 0..rest {
-                for i in 0..kb {
-                    *a.at_mut(k0 + i, k0 + kb + j) = u12[(i, j)];
+    let k = if n > tb { tb } else { split(n) };
+    let (mut left, mut right) = a.split_at_col_mut(k);
+    lu(left.subview_mut(0, 0, m, k), &mut piv[..k], offset, cfg)?;
+    apply_swaps(&mut right, &piv[..k], 0);
+    let t = Triangle {
+        l: left.as_view().subview(0, 0, k, k),
+        uplo: Uplo::Lower,
+        trans: Trans::No,
+        unit: true,
+    };
+    solve(Side::Left, t, &mut right.subview_mut(0, 0, k, n - k), cfg);
+    let u12 = owned(&right.as_view().subview(0, 0, k, n - k));
+    gemm_acc(
+        -1.0,
+        &left.as_view().subview(k, 0, m - k, k),
+        Trans::No,
+        &u12.view(),
+        Trans::No,
+        &mut right.subview_mut(k, 0, m - k, n - k),
+        cfg,
+    );
+    lu(
+        right.subview_mut(k, 0, m - k, n - k),
+        &mut piv[k..],
+        offset + k,
+        cfg,
+    )?;
+    for p in &mut piv[k..] {
+        *p += k;
+    }
+    apply_swaps(&mut left, &piv[k..], k);
+    Ok(())
+}
+
+/// Replay the row swaps `first + i <-> piv[i]` on every column of `x`.
+fn apply_swaps(x: &mut MatrixViewMut<'_>, piv: &[usize], first: usize) {
+    for c in 0..x.cols() {
+        let col = x.col_mut(c);
+        for (i, &p) in piv.iter().enumerate() {
+            col.swap(first + i, p);
+        }
+    }
+}
+
+/// Scalar partial-pivot LU of a view at most `BASE` columns wide, over
+/// contiguous columns: pivot search, swap across the block, scale, then one
+/// `axpy` per remaining column.
+fn lu_base(a: &mut MatrixViewMut<'_>, piv: &mut [usize], offset: usize) -> Result<()> {
+    let (m, n, ld) = (a.rows(), a.cols(), a.ld());
+    let data = a.as_mut_slice();
+    for j in 0..n {
+        let p = pivot_row(&data[j * ld..j * ld + m], j)
+            .ok_or(MatrixError::SingularDiagonal { index: offset + j })?;
+        piv[j] = p;
+        if p != j {
+            for c in 0..n {
+                data.swap(j + c * ld, p + c * ld);
+            }
+        }
+        let d = data[j + j * ld];
+        for x in &mut data[j * ld + j + 1..j * ld + m] {
+            *x /= d;
+        }
+        for jj in (j + 1)..n {
+            let (dst, src) = column_pair(data, ld, m, jj, j);
+            let u = dst[j];
+            if u != 0.0 {
+                for (x, &l) in dst[j + 1..].iter_mut().zip(&src[j + 1..]) {
+                    *x -= l * u;
                 }
             }
-            // Trailing update: A22 -= L21 · U12, one rank-kb GEMM.
-            let l21 = Matrix::from_fn(rest, kb, |i, j| a.at(k0 + kb + i, k0 + j));
-            let mut a22 = a.subview_mut(k0 + kb, k0 + kb, rest, rest);
-            gemm(
-                Trans::No,
-                Trans::No,
-                -1.0,
-                &l21.view(),
-                &u12.view(),
-                1.0,
-                &mut a22,
-                cfg,
-            )?;
         }
-        k0 += kb;
     }
     Ok(())
 }
 
+/// The partial pivot of column `col` from row `j` down: the first entry of
+/// largest magnitude, or `None` when the column is zero there or holds a NaN
+/// (which `>` alone would step over).
+fn pivot_row(col: &[f64], j: usize) -> Option<usize> {
+    let mut best = 0.0;
+    let mut p = None;
+    for (i, v) in col.iter().enumerate().skip(j) {
+        let v = v.abs();
+        if v.is_nan() {
+            return None;
+        }
+        if v > best {
+            best = v;
+            p = Some(i);
+        }
+    }
+    p
+}
+
 /// Reference GETRF: the scalar unblocked partial-pivot recurrence over the
-/// whole matrix. Used by the unit and property tests to validate the blocked
-/// kernel.
+/// whole matrix, one element at a time. Used by the unit and property tests
+/// to validate the blocked kernel.
 ///
 /// # Errors
 ///
@@ -113,7 +171,32 @@ pub fn getrf(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>, cfg: &BlockConfig)
 pub fn getrf_naive(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>) -> Result<()> {
     let n = check_square(a)?;
     piv.clear();
-    factor_panel(a, piv, 0, n)
+    for col in 0..n {
+        let column: Vec<f64> = (0..n).map(|i| a.at(i, col)).collect();
+        let p = pivot_row(&column, col).ok_or(MatrixError::SingularDiagonal { index: col })?;
+        piv.push(p);
+        for j in 0..n {
+            let t = a.at(col, j);
+            *a.at_mut(col, j) = a.at(p, j);
+            *a.at_mut(p, j) = t;
+        }
+        // Eliminate below the pivot and fold into the trailing columns.
+        let d = a.at(col, col);
+        for i in (col + 1)..n {
+            let l = a.at(i, col) / d;
+            *a.at_mut(i, col) = l;
+        }
+        for jj in (col + 1)..n {
+            let u = a.at(col, jj);
+            if u != 0.0 {
+                for i in (col + 1)..n {
+                    let l = a.at(i, col);
+                    *a.at_mut(i, jj) -= l * u;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
@@ -124,65 +207,6 @@ fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
         });
     }
     Ok(a.rows())
-}
-
-/// Scalar unblocked partial-pivot LU of the `kb`-column panel starting at
-/// column `k0` (rows `k0..n`), applying each row swap across the full width
-/// of the matrix and recording it in `piv`. Pivot failures report the
-/// *absolute* column index.
-fn factor_panel(
-    a: &mut MatrixViewMut<'_>,
-    piv: &mut Vec<usize>,
-    k0: usize,
-    kb: usize,
-) -> Result<()> {
-    let n = a.rows();
-    for j in 0..kb {
-        let col = k0 + j;
-        // Partial pivot: the largest magnitude on or below the diagonal.
-        let mut p = col;
-        let mut best = a.at(col, col).abs();
-        for i in (col + 1)..n {
-            let v = a.at(i, col).abs();
-            if v > best {
-                best = v;
-                p = i;
-            }
-        }
-        if best == 0.0 || best.is_nan() {
-            return Err(MatrixError::SingularDiagonal { index: col });
-        }
-        piv.push(p);
-        if p != col {
-            swap_rows(a, col, p);
-        }
-        // Eliminate below the pivot and fold into the rest of the panel.
-        let d = a.at(col, col);
-        for i in (col + 1)..n {
-            let l = a.at(i, col) / d;
-            *a.at_mut(i, col) = l;
-        }
-        for jj in (j + 1)..kb {
-            let u = a.at(col, k0 + jj);
-            if u != 0.0 {
-                for i in (col + 1)..n {
-                    let l = a.at(i, col);
-                    *a.at_mut(i, k0 + jj) -= l * u;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Swap rows `r1` and `r2` across every column (column-major storage: one
-/// element per column).
-fn swap_rows(a: &mut MatrixViewMut<'_>, r1: usize, r2: usize) {
-    for j in 0..a.cols() {
-        let t = a.at(r1, j);
-        *a.at_mut(r1, j) = a.at(r2, j);
-        *a.at_mut(r2, j) = t;
-    }
 }
 
 /// Factor `a` out of place into the packed `n x (n+1)` operand the
@@ -504,6 +528,26 @@ mod tests {
         assert_eq!(
             getrf(&mut zero.view_mut(), &mut Vec::new(), &cfg).unwrap_err(),
             MatrixError::SingularDiagonal { index: 0 }
+        );
+    }
+
+    #[test]
+    fn nan_below_the_diagonal_is_reported_as_singular() {
+        // `v > best` steps over a NaN; the pivot search must not, or the
+        // factor comes back Ok and poisoned. Column 37 holds the NaN below
+        // its diagonal (rows are not swapped past it before column 37).
+        let cfg = BlockConfig::default();
+        let mut a = random_seeded(90, 90, 8);
+        a[(80, 37)] = f64::NAN;
+        let err = getrf(&mut a.clone().view_mut(), &mut Vec::new(), &cfg).unwrap_err();
+        assert!(
+            matches!(err, MatrixError::SingularDiagonal { index } if index <= 37),
+            "{err:?}"
+        );
+        let err = getrf_naive(&mut a.view_mut(), &mut Vec::new()).unwrap_err();
+        assert!(
+            matches!(err, MatrixError::SingularDiagonal { index } if index <= 37),
+            "{err:?}"
         );
     }
 

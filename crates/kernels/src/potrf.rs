@@ -7,21 +7,27 @@
 //! only the stored triangle in, which is exactly what the out-of-place
 //! [`crate::dispatch::Kernel::Potrf`] realisation does).
 //!
-//! Structure on the shared [`BlockedDriver`](crate::driver::BlockedDriver)
-//! engine: the classic **right-looking blocked algorithm**. The matrix is
-//! walked in diagonal blocks of [`BlockConfig::tri_block`] rows; each step
+//! Structure: a **recursive right-looking** algorithm on in-place views of
+//! `A`. A matrix of order above `BASE` is split at `k`, where `k` is
+//! [`BlockConfig::tri_block`] when the order exceeds it (the outer panel
+//! width) and otherwise about half the order (the recursion inside a
+//! panel). Each split
 //!
-//! 1. factors the diagonal block with the scalar unblocked recurrence
-//!    (reporting [`MatrixError::NotPositiveDefinite`] on a non-positive
-//!    pivot),
-//! 2. computes the panel below/right of it with one [`crate::trsm::trsm`]
-//!    solve against the freshly factored diagonal block, and
-//! 3. folds the panel into the trailing submatrix with one rank-`kb`
-//!    [`crate::syrk::syrk`] update (`alpha = -1`, `beta = 1`).
+//! 1. factors the leading `k x k` block recursively,
+//! 2. solves the panel below (right of) it in place with the recursive
+//!    triangular solve of [`crate::trsm`], and
+//! 3. folds the panel into the trailing block with a rank-`k` update
+//!    (`rank_update`): [`crate::syrk::syrk`] when it runs in parallel or is
+//!    small, otherwise a recursion into GEMM-shaped off-diagonal blocks on
+//!    the packed core and SYRK diagonal blocks of order at most `LEAF`,
 //!
-//! Steps 2 and 3 are where the `n³/3` bulk of the work happens, and both run
-//! on the packed, cache-blocked, Rayon-capable engine — POTRF adds no loop
-//! nest of its own beyond the small scalar diagonal factor.
+//! then factors the trailing block the same way. Blocks of order at most
+//! `BASE` are factored by a scalar loop over contiguous columns (reporting
+//! [`MatrixError::NotPositiveDefinite`] on a non-positive or NaN pivot),
+//! which is `O(n·BASE²)` of the `n³/3` FLOPs; everything else runs on the
+//! packed core. The only copies are the `k x k` triangle the lower solve
+//! reads (it shares columns with the panel it solves) and the `k`-row panel
+//! the upper update reads (it shares columns with the block it updates).
 //!
 //! The Section-3.1-style FLOP model attributes `n³/3` FLOPs to the
 //! factorisation (see [`crate::flops::potrf_flops`]): one sixth of the
@@ -31,8 +37,14 @@
 
 use crate::config::BlockConfig;
 use crate::syrk::syrk;
-use crate::trsm::trsm;
-use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
+use crate::trsm::{column_pair, gemm_acc, owned, solve, split, Triangle};
+use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
+
+/// Largest order factored by the scalar loop.
+const BASE: usize = 16;
+
+/// Largest diagonal block of a serial rank update handed to SYRK whole.
+const LEAF: usize = 32;
 
 /// Factor the `uplo` triangle of the square matrix `a` in place:
 /// `A = L·Lᵀ` for [`Uplo::Lower`], `A = Uᵀ·U` for [`Uplo::Upper`]. Only the
@@ -46,86 +58,142 @@ use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo}
 /// triangle holds a partial factor.
 pub fn potrf(uplo: Uplo, a: &mut MatrixViewMut<'_>, cfg: &BlockConfig) -> Result<()> {
     let n = check_square(a)?;
+    chol(uplo, a.subview_mut(0, 0, n, n), 0, cfg)
+}
+
+/// Factor the square view `a`, whose first pivot has absolute index
+/// `offset`.
+fn chol(uplo: Uplo, mut a: MatrixViewMut<'_>, offset: usize, cfg: &BlockConfig) -> Result<()> {
+    let n = a.rows();
+    if n <= BASE {
+        return chol_base(uplo, &mut a, offset);
+    }
     let tb = cfg.tri_block.max(1);
-    let mut k0 = 0;
-    while k0 < n {
-        let kb = tb.min(n - k0);
-        factor_diag_block(uplo, a, k0, kb)?;
-        let rest = n - (k0 + kb);
-        if rest > 0 {
-            // The freshly factored diagonal block, copied out so the TRSM can
-            // borrow it immutably while the panel of `a` is written. `kb` is
-            // at most `tri_block`, so the copy is O(tri_block²) per step.
-            let diag = Matrix::from_fn(kb, kb, |i, j| a.at(k0 + i, k0 + j));
-            match uplo {
-                Uplo::Lower => {
-                    // Panel: L21 := A21 · L11⁻ᵀ, computed through the
-                    // left-sided kernel as L21ᵀ = L11⁻¹ · A21ᵀ.
-                    let a21t = Matrix::from_fn(kb, rest, |i, j| a.at(k0 + kb + j, k0 + i));
-                    let mut l21t = Matrix::zeros(kb, rest);
-                    trsm(
-                        Side::Left,
-                        Uplo::Lower,
-                        Trans::No,
-                        1.0,
-                        &diag.view(),
-                        &a21t.view(),
-                        &mut l21t.view_mut(),
-                        cfg,
-                    )?;
-                    for j in 0..kb {
-                        for i in 0..rest {
-                            *a.at_mut(k0 + kb + i, k0 + j) = l21t[(j, i)];
-                        }
-                    }
-                    // Trailing update: A22 (lower triangle) -= L21 · L21ᵀ,
-                    // i.e. a rank-kb SYRK of op(L21ᵀ) = L21.
-                    let mut a22 = a.subview_mut(k0 + kb, k0 + kb, rest, rest);
-                    syrk(
-                        Uplo::Lower,
-                        Trans::Yes,
-                        -1.0,
-                        &l21t.view(),
-                        1.0,
-                        &mut a22,
-                        cfg,
-                    )?;
+    let k = if n > tb { tb } else { split(n) };
+    let r = n - k;
+    let (mut left, mut right) = a.split_at_col_mut(k);
+    chol(uplo, left.subview_mut(0, 0, k, k), offset, cfg)?;
+    match uplo {
+        Uplo::Lower => {
+            // L21 := A21·L11⁻ᵀ, then A22 -= L21·L21ᵀ.
+            let l11 = owned(&left.as_view().subview(0, 0, k, k));
+            let t = Triangle {
+                l: l11.view(),
+                uplo,
+                trans: Trans::Yes,
+                unit: false,
+            };
+            solve(Side::Right, t, &mut left.subview_mut(k, 0, r, k), cfg);
+            let l21 = left.as_view().subview(k, 0, r, k);
+            let mut a22 = right.subview_mut(k, 0, r, r);
+            rank_update(uplo, -1.0, &l21, Trans::No, &mut a22, cfg)?;
+        }
+        Uplo::Upper => {
+            // U12 := U11⁻ᵀ·A12, then A22 -= U12ᵀ·U12.
+            let t = Triangle {
+                l: left.as_view().subview(0, 0, k, k),
+                uplo,
+                trans: Trans::Yes,
+                unit: false,
+            };
+            solve(Side::Left, t, &mut right.subview_mut(0, 0, k, r), cfg);
+            let u12 = owned(&right.as_view().subview(0, 0, k, r));
+            let mut a22 = right.subview_mut(k, 0, r, r);
+            rank_update(uplo, -1.0, &u12.view(), Trans::Yes, &mut a22, cfg)?;
+        }
+    }
+    chol(uplo, right.subview_mut(k, 0, r, r), offset + k, cfg)
+}
+
+/// `C := C + alpha·op(A)·op(A)ᵀ` on the `uplo` triangle of the square `c`,
+/// where `op(A)` (`a` or `aᵀ`, by `ta`) has as many rows as `c`. The
+/// opposite triangle of `c` is never written.
+///
+/// [`syrk`] computes each diagonal block of its column panels as a full
+/// square: cheap for blocks of order at most `LEAF` and for the narrow
+/// panels of its parallel path (one fork for the whole update), but twice
+/// the work for its one serial panel of order `c.rows()`. A larger serial
+/// update is therefore halved recursively instead: the off-diagonal block is
+/// one GEMM-shaped update on the packed core, the two diagonal blocks
+/// recurse.
+pub(crate) fn rank_update(
+    uplo: Uplo,
+    alpha: f64,
+    a: &MatrixView<'_>,
+    ta: Trans,
+    c: &mut MatrixViewMut<'_>,
+    cfg: &BlockConfig,
+) -> Result<()> {
+    let r = c.rows();
+    let k = ta.apply((a.rows(), a.cols())).1;
+    if r <= LEAF || cfg.should_parallelise(r, r, k) {
+        return syrk(uplo, ta, alpha, a, 1.0, c, cfg);
+    }
+    let h = split(r);
+    // The first h and the last r - h rows of op(A).
+    let (a1, a2) = match ta {
+        Trans::No => (a.subview(0, 0, h, k), a.subview(h, 0, r - h, k)),
+        Trans::Yes => (a.subview(0, 0, k, h), a.subview(0, h, k, r - h)),
+    };
+    let (mut c1, mut c2) = c.subview_mut(0, 0, r, r).split_at_col_mut(h);
+    rank_update(uplo, alpha, &a1, ta, &mut c1.subview_mut(0, 0, h, h), cfg)?;
+    match uplo {
+        Uplo::Lower => {
+            let mut c21 = c1.subview_mut(h, 0, r - h, h);
+            gemm_acc(alpha, &a2, ta, &a1, ta.flip(), &mut c21, cfg);
+        }
+        Uplo::Upper => {
+            let mut c12 = c2.subview_mut(0, 0, h, r - h);
+            gemm_acc(alpha, &a1, ta, &a2, ta.flip(), &mut c12, cfg);
+        }
+    }
+    let mut c22 = c2.subview_mut(h, 0, r - h, r - h);
+    rank_update(uplo, alpha, &a2, ta, &mut c22, cfg)
+}
+
+/// Scalar Cholesky of a block of order at most `BASE` over contiguous
+/// columns: right-looking `axpy`s down the columns of `L`, or the dot-product
+/// form down the columns of `U`. Pivot failures report `offset` plus the
+/// pivot's index in the block.
+fn chol_base(uplo: Uplo, a: &mut MatrixViewMut<'_>, offset: usize) -> Result<()> {
+    let (n, ld) = (a.rows(), a.ld());
+    let data = a.as_mut_slice();
+    let pivot = |d: f64, j: usize| {
+        // `!(d > 0)` also rejects a NaN pivot.
+        if d > 0.0 {
+            Ok(d.sqrt())
+        } else {
+            Err(MatrixError::NotPositiveDefinite { index: offset + j })
+        }
+    };
+    for j in 0..n {
+        match uplo {
+            Uplo::Lower => {
+                let d = pivot(data[j + j * ld], j)?;
+                data[j + j * ld] = d;
+                for x in &mut data[j * ld + j + 1..j * ld + n] {
+                    *x /= d;
                 }
-                Uplo::Upper => {
-                    // Panel: U12 := U11⁻ᵀ · A12 — directly a left-sided solve
-                    // with the transposed upper factor.
-                    let a12 = Matrix::from_fn(kb, rest, |i, j| a.at(k0 + i, k0 + kb + j));
-                    let mut u12 = Matrix::zeros(kb, rest);
-                    trsm(
-                        Side::Left,
-                        Uplo::Upper,
-                        Trans::Yes,
-                        1.0,
-                        &diag.view(),
-                        &a12.view(),
-                        &mut u12.view_mut(),
-                        cfg,
-                    )?;
-                    for j in 0..rest {
-                        for i in 0..kb {
-                            *a.at_mut(k0 + i, k0 + kb + j) = u12[(i, j)];
-                        }
+                for jj in (j + 1)..n {
+                    let (dst, src) = column_pair(data, ld, n, jj, j);
+                    let l = src[jj];
+                    for (x, &s) in dst[jj..].iter_mut().zip(&src[jj..]) {
+                        *x -= s * l;
                     }
-                    // Trailing update: A22 (upper triangle) -= U12ᵀ · U12.
-                    let mut a22 = a.subview_mut(k0 + kb, k0 + kb, rest, rest);
-                    syrk(
-                        Uplo::Upper,
-                        Trans::Yes,
-                        -1.0,
-                        &u12.view(),
-                        1.0,
-                        &mut a22,
-                        cfg,
-                    )?;
                 }
             }
+            Uplo::Upper => {
+                // U[0..j, j] := U[0..j, 0..j]⁻ᵀ·A[0..j, j], then the pivot.
+                for i in 0..j {
+                    let (dst, src) = column_pair(data, ld, n, j, i);
+                    let s: f64 = src[..i].iter().zip(&dst[..i]).map(|(u, x)| u * x).sum();
+                    dst[i] = (dst[i] - s) / src[i];
+                }
+                let col = &mut data[j * ld..j * ld + n];
+                let s: f64 = col[..j].iter().map(|u| u * u).sum();
+                col[j] = pivot(col[j] - s, j)?;
+            }
         }
-        k0 += kb;
     }
     Ok(())
 }
@@ -199,6 +267,7 @@ mod tests {
     use crate::trsm::trsm_naive;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::{random_seeded, random_spd};
+    use lamb_matrix::Matrix;
 
     /// Zero the opposite triangle so the factor can be multiplied as a full
     /// matrix by the naive GEMM reference.

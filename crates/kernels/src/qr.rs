@@ -7,31 +7,40 @@
 //! the scalar coefficients `tau`, reflector `j` is `H_j = I - tau_j·v_j·v_jᵀ`
 //! and `Q = H_0·H_1⋯H_{n-1}`.
 //!
-//! Structure on the shared [`BlockedDriver`](crate::driver::BlockedDriver)
-//! engine: the classic **blocked compact-WY algorithm**. The matrix is walked
-//! in column panels of [`BlockConfig::tri_block`] columns; each step
+//! Structure: a **recursive compact-WY** algorithm (Elmroth and Gustavson's
+//! recursive QR) on in-place views of `A`. A column range wider than `BASE`
+//! is split at `k`, where `k` is [`BlockConfig::tri_block`] when the range
+//! is wider (the outer panel width) and otherwise about half the range (the
+//! recursion inside a panel). Each split
 //!
-//! 1. factors the panel with the scalar unblocked Householder recurrence
-//!    (an exactly-zero column yields `tau = 0`, i.e. the identity reflector —
-//!    rank deficiency surfaces later as a zero on `R`'s diagonal, not here),
-//! 2. accumulates the panel's triangular factor `T` (LAPACK `larft`, forward
-//!    columnwise) so the panel's reflector product is `I - V·T·Vᵀ`, and
-//! 3. applies `Qₚᵀ = I - V·Tᵀ·Vᵀ` to the trailing columns with three
-//!    [`crate::gemm::gemm`] calls: `W := VᵀC`, `W := TᵀW`, `C -= V·W`.
+//! 1. factors the left `k` columns, full height, recursively,
+//! 2. forms their triangular factor `T` (`larft`, forward columnwise) from
+//!    one `VᵀV` product on the packed core, so the `k` reflectors are
+//!    `I - V·T·Vᵀ`,
+//! 3. applies `Qₖᵀ = I - V·Tᵀ·Vᵀ` to the right columns in place with
+//!    three GEMM-shaped updates (`apply_block_reflector`), and
+//! 4. factors the lower right block recursively.
 //!
-//! Step 3 carries the `2mn² - 2n³/3` bulk of the work (see
-//! [`crate::flops::qr_flops`]) on the packed, cache-blocked, Rayon-capable
-//! engine.
+//! Column ranges of at most `BASE` are factored by a scalar loop over
+//! contiguous columns (an exactly-zero column yields `tau = 0`, i.e. the
+//! identity reflector — rank deficiency surfaces later as a zero on `R`'s
+//! diagonal, not here). That loop is `O(m·n·BASE)` of the `2mn² - 2n³/3`
+//! FLOPs (see [`crate::flops::qr_flops`]); the rest runs on the packed core.
 //!
 //! [`qr_packed`] produces the single-operand packed form the kernel-call IR
 //! uses: an `m x (n+1)` matrix with the factors in columns `0..n` and the
 //! `tau` coefficients in the first `n` rows of column `n`. [`ormqr`] applies
-//! `Qᵀ` from such a packed factor — the least-squares pipeline is
-//! `x = R⁻¹·(Qᵀb)` via one ORMQR and one TRSM.
+//! `Qᵀ` from such a packed factor, [`BlockConfig::tri_block`] reflectors at
+//! a time through the same `larft` and `apply_block_reflector` — the
+//! least-squares pipeline is `x = R⁻¹·(Qᵀb)` via one ORMQR and one TRSM.
 
 use crate::config::BlockConfig;
-use crate::gemm::gemm;
-use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Trans};
+use crate::potrf::rank_update;
+use crate::trsm::{column_pair, gemm_acc, owned, split};
+use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans, Uplo};
+
+/// Widest column range factored by the scalar loop.
+const BASE: usize = 8;
 
 /// Factor the `m x n` matrix `a` (`m >= n`) in place as `A = Q·R`. On return
 /// `tau` holds the `n` Householder coefficients.
@@ -43,97 +52,148 @@ use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Trans};
 pub fn qr(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, cfg: &BlockConfig) -> Result<()> {
     let (m, n) = check_tall(a)?;
     tau.clear();
-    tau.reserve(n);
-    let tb = cfg.tri_block.max(1);
-    let mut k0 = 0;
-    while k0 < n {
-        let kb = tb.min(n - k0);
-        factor_panel(a, tau, k0, kb);
-        let rest = n - (k0 + kb);
-        if rest > 0 {
-            let rows = m - k0;
-            // The panel's reflectors with their implicit leading 1s written
-            // out, V ∈ R^{rows x kb}, plus the larft triangular factor T so
-            // the panel applies as one rank-kb update instead of kb rank-1s.
-            let v = Matrix::from_fn(rows, kb, |i, j| match i.cmp(&j) {
-                std::cmp::Ordering::Greater => a.at(k0 + i, k0 + j),
-                std::cmp::Ordering::Equal => 1.0,
-                std::cmp::Ordering::Less => 0.0,
-            });
-            let t = larft(&v, &tau[k0..k0 + kb]);
-            // Trailing update: C -= V · Tᵀ · Vᵀ · C, three GEMMs.
-            let c = Matrix::from_fn(rows, rest, |i, j| a.at(k0 + i, k0 + kb + j));
-            let mut w = Matrix::zeros(kb, rest);
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                1.0,
-                &v.view(),
-                &c.view(),
-                0.0,
-                &mut w.view_mut(),
-                cfg,
-            )?;
-            let mut tw = Matrix::zeros(kb, rest);
-            gemm(
-                Trans::Yes,
-                Trans::No,
-                1.0,
-                &t.view(),
-                &w.view(),
-                0.0,
-                &mut tw.view_mut(),
-                cfg,
-            )?;
-            let mut trailing = a.subview_mut(k0, k0 + kb, rows, rest);
-            gemm(
-                Trans::No,
-                Trans::No,
-                -1.0,
-                &v.view(),
-                &tw.view(),
-                1.0,
-                &mut trailing,
-                cfg,
-            )?;
-        }
-        k0 += kb;
+    tau.resize(n, 0.0);
+    householder(a.subview_mut(0, 0, m, n), tau, cfg)
+}
+
+/// Factor the view `a` (at least as many rows as columns) in place, writing
+/// one coefficient per column into `tau`.
+fn householder(mut a: MatrixViewMut<'_>, tau: &mut [f64], cfg: &BlockConfig) -> Result<()> {
+    let (m, n) = (a.rows(), a.cols());
+    if n <= BASE {
+        householder_base(&mut a, tau);
+        return Ok(());
     }
-    Ok(())
+    let tb = cfg.tri_block.max(1);
+    let k = if n > tb { tb } else { split(n) };
+    let (mut left, mut right) = a.split_at_col_mut(k);
+    householder(left.subview_mut(0, 0, m, k), &mut tau[..k], cfg)?;
+    let v = reflectors(&left.as_view());
+    let t = larft(&v.view(), &tau[..k], cfg)?;
+    apply_block_reflector(&v.view(), &t.view(), &mut right, cfg);
+    householder(right.subview_mut(k, 0, m - k, n - k), &mut tau[k..], cfg)
+}
+
+/// Scalar Householder QR of a view at most `BASE` columns wide, over
+/// contiguous columns: each reflector is formed, then applied to the
+/// remaining columns with one dot product and one `axpy` each.
+fn householder_base(a: &mut MatrixViewMut<'_>, tau: &mut [f64]) {
+    let (m, n, ld) = (a.rows(), a.cols(), a.ld());
+    let data = a.as_mut_slice();
+    for j in 0..n {
+        let col = &mut data[j * ld..j * ld + m];
+        let normsq: f64 = col[j + 1..].iter().map(|x| x * x).sum();
+        if normsq == 0.0 {
+            // Already triangular in this column: the identity reflector.
+            tau[j] = 0.0;
+            continue;
+        }
+        let alpha = col[j];
+        let norm = (alpha * alpha + normsq).sqrt();
+        let beta = if alpha >= 0.0 { -norm } else { norm };
+        let t = (beta - alpha) / beta;
+        tau[j] = t;
+        let scale = 1.0 / (alpha - beta);
+        for x in &mut col[j + 1..] {
+            *x *= scale;
+        }
+        col[j] = beta;
+        for jj in (j + 1)..n {
+            let (dst, v) = column_pair(data, ld, m, jj, j);
+            let dot: f64 = v[j + 1..]
+                .iter()
+                .zip(&dst[j + 1..])
+                .map(|(x, y)| x * y)
+                .sum();
+            let tw = t * (dst[j] + dot);
+            dst[j] -= tw;
+            for (x, &vi) in dst[j + 1..].iter_mut().zip(&v[j + 1..]) {
+                *x -= tw * vi;
+            }
+        }
+    }
+}
+
+/// The reflectors stored below the diagonal of the `m x k` view `a`
+/// (`m >= k`), with their implicit unit diagonal written out and zeros
+/// above it.
+fn reflectors(a: &MatrixView<'_>) -> Matrix {
+    let mut v = Matrix::zeros(a.rows(), a.cols());
+    for j in 0..a.cols() {
+        let col = v.col_mut(j);
+        col[j] = 1.0;
+        col[j + 1..].copy_from_slice(&a.col(j)[j + 1..]);
+    }
+    v
+}
+
+/// LAPACK `larft` (forward, columnwise): the upper-triangular `T` with
+/// `H_0·H_1⋯H_{k-1} = I - V·T·Vᵀ`. The inner products of the reflectors come
+/// from one `VᵀV` product on the packed core (its upper triangle); the
+/// `O(k³)` recurrence `T[0..j, j] = -tau_j·T[0..j, 0..j]·(VᵀV)[0..j, j]`
+/// reads it.
+fn larft(v: &MatrixView<'_>, tau: &[f64], cfg: &BlockConfig) -> Result<Matrix> {
+    let k = v.cols();
+    let mut s = Matrix::zeros(k, k);
+    rank_update(Uplo::Upper, 1.0, v, Trans::Yes, &mut s.view_mut(), cfg)?;
+    let mut t = Matrix::zeros(k, k);
+    for j in 0..k {
+        t[(j, j)] = tau[j];
+        if tau[j] == 0.0 {
+            continue;
+        }
+        for i in 0..j {
+            let dot: f64 = (i..j).map(|p| t[(i, p)] * s[(p, j)]).sum();
+            t[(i, j)] = -tau[j] * dot;
+        }
+    }
+    Ok(t)
+}
+
+/// `C := (I - V·T·Vᵀ)ᵀ·C = C - V·(Tᵀ·(Vᵀ·C))` on the packed core: the
+/// block-reflector update of QR's trailing columns and of ORMQR's
+/// right-hand sides.
+fn apply_block_reflector(
+    v: &MatrixView<'_>,
+    t: &MatrixView<'_>,
+    c: &mut MatrixViewMut<'_>,
+    cfg: &BlockConfig,
+) {
+    let (k, nc) = (v.cols(), c.cols());
+    let mut w = Matrix::zeros(k, nc);
+    gemm_acc(
+        1.0,
+        v,
+        Trans::Yes,
+        &c.as_view(),
+        Trans::No,
+        &mut w.view_mut(),
+        cfg,
+    );
+    let mut tw = Matrix::zeros(k, nc);
+    gemm_acc(
+        1.0,
+        t,
+        Trans::Yes,
+        &w.view(),
+        Trans::No,
+        &mut tw.view_mut(),
+        cfg,
+    );
+    gemm_acc(-1.0, v, Trans::No, &tw.view(), Trans::No, c, cfg);
 }
 
 /// Reference QR: the scalar unblocked Householder recurrence over the whole
-/// matrix. Used by the unit and property tests to validate the blocked
-/// kernel.
+/// matrix, one element at a time. Used by the unit and property tests to
+/// validate the blocked kernel.
 ///
 /// # Errors
 ///
 /// Same checks as [`qr`].
 pub fn qr_naive(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>) -> Result<()> {
-    let (_, n) = check_tall(a)?;
+    let (m, n) = check_tall(a)?;
     tau.clear();
-    factor_panel(a, tau, 0, n);
-    Ok(())
-}
-
-fn check_tall(a: &MatrixViewMut<'_>) -> Result<(usize, usize)> {
-    if a.rows() < a.cols() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "qr (requires rows >= cols)",
-            lhs: (a.rows(), a.cols()),
-            rhs: (a.cols(), a.cols()),
-        });
-    }
-    Ok((a.rows(), a.cols()))
-}
-
-/// Scalar unblocked Householder QR of the `kb`-column panel starting at
-/// column `k0`, pushing one `tau` per column and applying each reflector to
-/// the remaining panel columns as it is formed.
-fn factor_panel(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, k0: usize, kb: usize) {
-    let m = a.rows();
-    for j in 0..kb {
-        let c = k0 + j;
+    for c in 0..n {
         // Householder vector annihilating a[c+1.., c] into a[c, c].
         let mut normsq = 0.0;
         for i in (c + 1)..m {
@@ -155,8 +215,8 @@ fn factor_panel(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, k0: usize, kb: us
             *a.at_mut(i, c) *= scale;
         }
         *a.at_mut(c, c) = beta;
-        // Apply H = I - tau·v·vᵀ to the remaining panel columns.
-        for cc in (c + 1)..(k0 + kb) {
+        // Apply H = I - tau·v·vᵀ to the remaining columns.
+        for cc in (c + 1)..n {
             let mut w = a.at(c, cc);
             for i in (c + 1)..m {
                 w += a.at(i, c) * a.at(i, cc);
@@ -169,36 +229,18 @@ fn factor_panel(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, k0: usize, kb: us
             }
         }
     }
+    Ok(())
 }
 
-/// LAPACK `larft` (forward, columnwise): the upper-triangular `T` with
-/// `H_0·H_1⋯H_{kb-1} = I - V·T·Vᵀ`.
-fn larft(v: &Matrix, tau: &[f64]) -> Matrix {
-    let kb = v.cols();
-    let mut t = Matrix::zeros(kb, kb);
-    for j in 0..kb {
-        t[(j, j)] = tau[j];
-        if j == 0 || tau[j] == 0.0 {
-            continue;
-        }
-        // z := V(:, 0..j)ᵀ · v_j, then T(0..j, j) := -tau_j · T(0..j, 0..j)·z.
-        let mut z = vec![0.0; j];
-        for (p, zp) in z.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for r in 0..v.rows() {
-                s += v[(r, p)] * v[(r, j)];
-            }
-            *zp = s;
-        }
-        for i in 0..j {
-            let mut s = 0.0;
-            for (p, &zp) in z.iter().enumerate().skip(i) {
-                s += t[(i, p)] * zp;
-            }
-            t[(i, j)] = -tau[j] * s;
-        }
+fn check_tall(a: &MatrixViewMut<'_>) -> Result<(usize, usize)> {
+    if a.rows() < a.cols() {
+        return Err(MatrixError::DimensionMismatch {
+            op: "qr (requires rows >= cols)",
+            lhs: (a.rows(), a.cols()),
+            rhs: (a.cols(), a.cols()),
+        });
     }
-    t
+    Ok((a.rows(), a.cols()))
 }
 
 /// Factor `a` out of place into the packed `m x (n+1)` operand the
@@ -230,12 +272,29 @@ pub fn qr_packed(a: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
 /// `b` (`m x k`) and return the *top `n` rows* of the product — exactly the
 /// `Qᵀb` block the least-squares triangular solve `x = R⁻¹·(Qᵀb)` consumes.
 ///
+/// The reflectors are applied [`BlockConfig::tri_block`] at a time, in
+/// factorisation order, each block as one compact-WY update on the packed
+/// core.
+///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] when `f` has no tau column,
 /// `b`'s row count differs from `f`'s, or `n > m`.
-pub fn ormqr(f: &Matrix, b: &Matrix, _cfg: &BlockConfig) -> Result<Matrix> {
-    ormqr_naive(f, b)
+pub fn ormqr(f: &Matrix, b: &Matrix, cfg: &BlockConfig) -> Result<Matrix> {
+    let n = check_factor(f, b)?;
+    let (m, k) = (f.rows(), b.cols());
+    let tau = &f.col(n)[..n];
+    let tb = cfg.tri_block.max(1);
+    let mut work = b.clone();
+    let mut work_view = work.view_mut();
+    for k0 in (0..n).step_by(tb) {
+        let kb = tb.min(n - k0);
+        let v = reflectors(&f.subview(k0, k0, m - k0, kb));
+        let t = larft(&v.view(), &tau[k0..k0 + kb], cfg)?;
+        let mut c = work_view.subview_mut(k0, 0, m - k0, k);
+        apply_block_reflector(&v.view(), &t.view(), &mut c, cfg);
+    }
+    Ok(owned(&work.subview(0, 0, n, k)))
 }
 
 /// Reference ORMQR: the reflectors applied one rank-1 update at a time, in

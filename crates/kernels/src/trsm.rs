@@ -9,20 +9,34 @@
 //! formed — making TRSM, like TRMM, a structured kernel whose FLOP savings
 //! need not translate into time savings.
 //!
-//! Structure on the shared [`BlockedDriver`]: on the left the right-hand-side
-//! columns are completely independent, so they are distributed as column
-//! panels, and within a panel the classic blocked substitution runs over
-//! diagonal blocks of [`BlockConfig::tri_block`] rows. On the right the
-//! *columns* are coupled by the substitution (each output column folds in the
-//! already-solved columns) while the rows are independent; the blocked
-//! substitution walks column blocks in solve order, folding the solved
-//! columns with the packed rectangular core, and runs serially — the packed
-//! core itself is the compute-heavy part.
+//! Structure: a **recursive** solve on the packed core. The triangle is
+//! halved (on a multiple of 8) until its order is at most `BASE`; each split
+//! solves one half, folds it into the other with one GEMM-shaped update on
+//! [`BlockedDriver::accumulate`], and solves the other half. So all but
+//! `O(BASE)` FLOPs per right-hand side run on the packed core, in updates
+//! whose inner dimension is half of the current order rather than one fixed
+//! block. The base case copies its diagonal block of `op(L)` into a compact
+//! buffer and substitutes column by column with contiguous `axpy` loops.
+//! [`BlockConfig::tri_block`] plays no part: the recursion picks its own
+//! block sizes.
+//!
+//! On the left the right-hand-side columns are independent, so they are
+//! distributed as column panels ([`BlockedDriver::for_each_panel`]), each
+//! solved serially; the rows a split couples are copied out of `X` before
+//! the update, since one column-major view cannot lend disjoint row ranges.
+//! On the right the split runs over columns of `X`, which split into
+//! disjoint views, and each update may parallelise on its own.
+//!
+//! POTRF and GETRF solve their panels in place through the same recursion
+//! (`solve`), with the triangle read from the matrix being factored.
 
 use crate::config::BlockConfig;
 use crate::driver::BlockedDriver;
 use crate::trmm::check_triangular_shapes;
 use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
+
+/// Largest triangle order the recursion solves by substitution.
+const BASE: usize = 16;
 
 /// `X := alpha * op(L)⁻¹ * B` (Left) or `X := alpha * B * op(L)⁻¹` (Right)
 /// where `op(L)` is `L` or `Lᵀ` and only the `uplo` triangle of `L` is
@@ -35,7 +49,7 @@ use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Side, 
 ///
 /// Returns [`MatrixError::NotSquare`] / [`MatrixError::DimensionMismatch`]
 /// for inconsistent shapes and [`MatrixError::SingularDiagonal`] when a
-/// diagonal element of `L` is exactly zero (the solve does not exist).
+/// diagonal element of `L` is zero or NaN (the solve does not exist).
 #[allow(clippy::too_many_arguments)] // BLAS-style interface
 pub fn trsm(
     side: Side,
@@ -48,181 +62,21 @@ pub fn trsm(
     cfg: &BlockConfig,
 ) -> Result<()> {
     let (m, n) = check_triangular_shapes("trsm operand shape", side, l, b, x)?;
-    let order = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    let l_data = l.as_slice();
-    let ldl = l.ld();
-    for i in 0..order {
-        if l_data[i + i * ldl] == 0.0 {
-            return Err(MatrixError::SingularDiagonal { index: i });
-        }
-    }
-    // Seed X with alpha * B; the substitution then runs in place on X.
+    check_diagonal(side, l, m, n)?;
+    // Seed X with alpha * B; the solve then runs in place on X.
     for j in 0..n {
         let src = b.col(j);
         for (dst, &s) in x.col_mut(j).iter_mut().zip(src) {
             *dst = alpha * s;
         }
     }
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-
-    // Element (i, p) of op(L) ignoring the triangle mask.
-    let op_l = move |i: usize, p: usize| match trans {
-        Trans::No => l_data[i + p * ldl],
-        Trans::Yes => l_data[p + i * ldl],
+    let t = Triangle {
+        l: *l,
+        uplo,
+        trans,
+        unit: false,
     };
-    // The triangle op(L) effectively occupies; Lower solves forward (top
-    // down / right to left), Upper backward (bottom up / left to right).
-    let eff = uplo.under(trans);
-
-    let driver = BlockedDriver::new(cfg);
-    let tb = cfg.tri_block.max(1);
-    match side {
-        Side::Left => {
-            let parallel = cfg.should_parallelise(m, n, m);
-            driver.for_each_panel(x.subview_mut(0, 0, m, n), parallel, |_, mut panel| {
-                let w = panel.cols();
-                // Diagonal-block start offsets in solve order.
-                let starts: Vec<usize> = match eff {
-                    Uplo::Lower => (0..m).step_by(tb).collect(),
-                    Uplo::Upper => {
-                        let mut s: Vec<usize> = (0..m).step_by(tb).collect();
-                        s.reverse();
-                        s
-                    }
-                };
-                let mut update = Matrix::zeros(tb.min(m), w);
-                for i0 in starts {
-                    let mb = tb.min(m - i0);
-                    // Fold the already-solved rows into this block:
-                    // update := op(L)[block, solved] * X[solved, panel].
-                    let (solved_start, solved_len) = match eff {
-                        Uplo::Lower => (0, i0),
-                        Uplo::Upper => (i0 + mb, m - (i0 + mb)),
-                    };
-                    let mut update_full = update.view_mut();
-                    let mut upd = update_full.subview_mut(0, 0, mb, w);
-                    upd.fill(0.0);
-                    if solved_len > 0 {
-                        // `panel.as_slice()` is an immutable borrow that ends
-                        // before the mutable writes below — the solved rows
-                        // are disjoint from the block being updated, but the
-                        // borrow checker cannot see row disjointness through
-                        // a column-major view, so the contribution goes
-                        // through a scratch block.
-                        let p_data = panel.as_slice();
-                        let ldp = panel.ld();
-                        driver.accumulate_serial(
-                            mb,
-                            w,
-                            solved_len,
-                            1.0,
-                            &|i, p| op_l(i0 + i, solved_start + p),
-                            &|p, j| p_data[(solved_start + p) + j * ldp],
-                            &mut upd,
-                        );
-                    }
-                    // Scalar substitution on the diagonal block.
-                    for j in 0..w {
-                        match eff {
-                            Uplo::Lower => {
-                                for i in 0..mb {
-                                    let mut s = panel.at(i0 + i, j) - update[(i, j)];
-                                    for p in 0..i {
-                                        s -= op_l(i0 + i, i0 + p) * panel.at(i0 + p, j);
-                                    }
-                                    *panel.at_mut(i0 + i, j) = s / op_l(i0 + i, i0 + i);
-                                }
-                            }
-                            Uplo::Upper => {
-                                for i in (0..mb).rev() {
-                                    let mut s = panel.at(i0 + i, j) - update[(i, j)];
-                                    for p in (i + 1)..mb {
-                                        s -= op_l(i0 + i, i0 + p) * panel.at(i0 + p, j);
-                                    }
-                                    *panel.at_mut(i0 + i, j) = s / op_l(i0 + i, i0 + i);
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        Side::Right => {
-            // X·op(L) = alpha·B: column-block substitution over X. Column q
-            // of the product reads X columns p with op(L)[p, q] nonzero, so
-            // the effective Upper triangle solves columns left to right and
-            // the effective Lower triangle right to left.
-            let starts: Vec<usize> = match eff {
-                Uplo::Upper => (0..n).step_by(tb).collect(),
-                Uplo::Lower => {
-                    let mut s: Vec<usize> = (0..n).step_by(tb).collect();
-                    s.reverse();
-                    s
-                }
-            };
-            let mut update = Matrix::zeros(m, tb.min(n));
-            for c0 in starts {
-                let cb = tb.min(n - c0);
-                // Fold the already-solved columns into this block:
-                // update := X[:, solved] * op(L)[solved, block].
-                let (solved_start, solved_len) = match eff {
-                    Uplo::Upper => (0, c0),
-                    Uplo::Lower => (c0 + cb, n - (c0 + cb)),
-                };
-                let mut update_full = update.view_mut();
-                let mut upd = update_full.subview_mut(0, 0, m, cb);
-                upd.fill(0.0);
-                if solved_len > 0 {
-                    // Same scratch-block pattern as the left side: the solved
-                    // columns are disjoint from the block being updated, but
-                    // that is invisible to the borrow checker.
-                    let x_data = x.as_slice();
-                    let ldx = x.ld();
-                    driver.accumulate_serial(
-                        m,
-                        cb,
-                        solved_len,
-                        1.0,
-                        &|i, p| x_data[i + (solved_start + p) * ldx],
-                        &|p, j| op_l(solved_start + p, c0 + j),
-                        &mut upd,
-                    );
-                }
-                // Scalar substitution over the columns of the diagonal block.
-                match eff {
-                    Uplo::Upper => {
-                        for j in 0..cb {
-                            let d = op_l(c0 + j, c0 + j);
-                            for i in 0..m {
-                                let mut s = x.at(i, c0 + j) - update[(i, j)];
-                                for p in 0..j {
-                                    s -= x.at(i, c0 + p) * op_l(c0 + p, c0 + j);
-                                }
-                                *x.at_mut(i, c0 + j) = s / d;
-                            }
-                        }
-                    }
-                    Uplo::Lower => {
-                        for j in (0..cb).rev() {
-                            let d = op_l(c0 + j, c0 + j);
-                            for i in 0..m {
-                                let mut s = x.at(i, c0 + j) - update[(i, j)];
-                                for p in (j + 1)..cb {
-                                    s -= x.at(i, c0 + p) * op_l(c0 + p, c0 + j);
-                                }
-                                *x.at_mut(i, c0 + j) = s / d;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    solve(side, t, x, cfg);
     Ok(())
 }
 
@@ -244,15 +98,7 @@ pub fn trsm_naive(
     x: &mut MatrixViewMut<'_>,
 ) -> Result<()> {
     let (m, n) = check_triangular_shapes("trsm operand shape", side, l, b, x)?;
-    let order = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    for i in 0..order {
-        if l.at(i, i) == 0.0 {
-            return Err(MatrixError::SingularDiagonal { index: i });
-        }
-    }
+    check_diagonal(side, l, m, n)?;
     let op_l = |i: usize, p: usize| match trans {
         Trans::No => l.at(i, p),
         Trans::Yes => l.at(p, i),
@@ -309,6 +155,292 @@ pub fn trsm_naive(
         }
     }
     Ok(())
+}
+
+/// Reject a triangle with a zero or NaN diagonal element: the solve does not
+/// exist (or is poisoned), and a NaN would otherwise pass `== 0.0`.
+fn check_diagonal(side: Side, l: &MatrixView<'_>, m: usize, n: usize) -> Result<()> {
+    let order = match side {
+        Side::Left => m,
+        Side::Right => n,
+    };
+    for i in 0..order {
+        let d = l.at(i, i);
+        if d == 0.0 || d.is_nan() {
+            return Err(MatrixError::SingularDiagonal { index: i });
+        }
+    }
+    Ok(())
+}
+
+/// The triangular operand `op(L)` of an in-place solve.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Triangle<'a> {
+    /// The square matrix holding the triangle.
+    pub(crate) l: MatrixView<'a>,
+    /// The stored triangle; the other one is never read.
+    pub(crate) uplo: Uplo,
+    /// Whether the solve uses `Lᵀ`.
+    pub(crate) trans: Trans,
+    /// Whether the diagonal is an implicit one; it is then never read.
+    pub(crate) unit: bool,
+}
+
+impl<'a> Triangle<'a> {
+    /// The triangle `op(L)` occupies.
+    fn eff(&self) -> Uplo {
+        self.uplo.under(self.trans)
+    }
+
+    /// The diagonal block `op(L)[k0..k0+kb, k0..k0+kb]`.
+    fn diag(&self, k0: usize, kb: usize) -> Triangle<'a> {
+        Triangle {
+            l: self.l.subview(k0, k0, kb, kb),
+            ..*self
+        }
+    }
+
+    /// The off-diagonal block `op(L)[r0..r0+nr, c0..c0+nc]` as a view of `L`
+    /// and the transposition that turns it into the block.
+    fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> (MatrixView<'a>, Trans) {
+        match self.trans {
+            Trans::No => (self.l.subview(r0, c0, nr, nc), Trans::No),
+            Trans::Yes => (self.l.subview(c0, r0, nc, nr), Trans::Yes),
+        }
+    }
+
+    /// `op(L)` of a block of order at most `BASE`, column-major with leading
+    /// dimension equal to its order, zero outside the effective triangle.
+    fn compact(&self, buf: &mut [f64; BASE * BASE]) -> usize {
+        let k = self.l.rows();
+        let eff = self.eff();
+        for p in 0..k {
+            for i in 0..k {
+                buf[i + p * k] = if eff.contains(i, p) {
+                    match self.trans {
+                        Trans::No => self.l.at(i, p),
+                        Trans::Yes => self.l.at(p, i),
+                    }
+                } else {
+                    0.0
+                };
+            }
+        }
+        k
+    }
+}
+
+/// Overwrite `x` with `op(L)⁻¹·x` (Left) or `x·op(L)⁻¹` (Right). The
+/// triangle's diagonal must be nonzero (or `unit`); callers check it.
+pub(crate) fn solve(side: Side, t: Triangle<'_>, x: &mut MatrixViewMut<'_>, cfg: &BlockConfig) {
+    let (m, n) = (x.rows(), x.cols());
+    if m == 0 || n == 0 {
+        return;
+    }
+    match side {
+        Side::Left => {
+            // Independent right-hand-side columns: one serial recursion per
+            // column panel, whether or not the panels run in parallel.
+            let parallel = cfg.should_parallelise(m, n, m);
+            let serial = BlockConfig {
+                parallel: false,
+                ..cfg.clone()
+            };
+            let inner = if parallel { &serial } else { cfg };
+            BlockedDriver::new(cfg).for_each_panel(
+                x.subview_mut(0, 0, m, n),
+                parallel,
+                |_, mut panel| solve_left(t, &mut panel, inner),
+            );
+        }
+        Side::Right => solve_right(t, x, cfg),
+    }
+}
+
+/// `x := op(L)⁻¹·x` by halving the triangle.
+fn solve_left(t: Triangle<'_>, x: &mut MatrixViewMut<'_>, cfg: &BlockConfig) {
+    let (m, w) = (x.rows(), x.cols());
+    if m <= BASE {
+        base_left(t, x);
+        return;
+    }
+    let h = split(m);
+    let r = m - h;
+    // Solve the half `op(L)` reaches first, then fold it into the other.
+    let ((first, first_len), (second, second_len), (l_off, tl)) = match t.eff() {
+        Uplo::Lower => ((0, h), (h, r), t.block(h, 0, r, h)),
+        Uplo::Upper => ((h, r), (0, h), t.block(0, h, h, r)),
+    };
+    solve_left(
+        t.diag(first, first_len),
+        &mut x.subview_mut(first, 0, first_len, w),
+        cfg,
+    );
+    let solved = owned(&x.as_view().subview(first, 0, first_len, w));
+    gemm_acc(
+        -1.0,
+        &l_off,
+        tl,
+        &solved.view(),
+        Trans::No,
+        &mut x.subview_mut(second, 0, second_len, w),
+        cfg,
+    );
+    solve_left(
+        t.diag(second, second_len),
+        &mut x.subview_mut(second, 0, second_len, w),
+        cfg,
+    );
+}
+
+/// `x := x·op(L)⁻¹` by halving the triangle; the halves of `x` are
+/// disjoint column ranges, so the update reads one and writes the other.
+fn solve_right(t: Triangle<'_>, x: &mut MatrixViewMut<'_>, cfg: &BlockConfig) {
+    let (m, n) = (x.rows(), x.cols());
+    if n <= BASE {
+        base_right(t, x);
+        return;
+    }
+    let h = split(n);
+    let r = n - h;
+    let (mut x1, mut x2) = x.subview_mut(0, 0, m, n).split_at_col_mut(h);
+    match t.eff() {
+        // Column q of X·op(L) reads the columns p <= q of X: solve left to
+        // right.
+        Uplo::Upper => {
+            solve_right(t.diag(0, h), &mut x1, cfg);
+            let (l12, tl) = t.block(0, h, h, r);
+            gemm_acc(-1.0, &x1.as_view(), Trans::No, &l12, tl, &mut x2, cfg);
+            solve_right(t.diag(h, r), &mut x2, cfg);
+        }
+        Uplo::Lower => {
+            solve_right(t.diag(h, r), &mut x2, cfg);
+            let (l21, tl) = t.block(h, 0, r, h);
+            gemm_acc(-1.0, &x2.as_view(), Trans::No, &l21, tl, &mut x1, cfg);
+            solve_right(t.diag(0, h), &mut x1, cfg);
+        }
+    }
+}
+
+/// Substitution for a triangle of order at most `BASE`, one right-hand
+/// side column at a time: each solved element updates the rest of its
+/// column with one contiguous `axpy`.
+fn base_left(t: Triangle<'_>, x: &mut MatrixViewMut<'_>) {
+    let mut buf = [0.0; BASE * BASE];
+    let k = t.compact(&mut buf);
+    let lower = t.eff() == Uplo::Lower;
+    for j in 0..x.cols() {
+        let col = x.col_mut(j);
+        for step in 0..k {
+            let p = if lower { step } else { k - 1 - step };
+            if !t.unit {
+                col[p] /= buf[p + p * k];
+            }
+            let xp = col[p];
+            let (rows, l_col) = if lower {
+                (&mut col[p + 1..], &buf[p * k + p + 1..(p + 1) * k])
+            } else {
+                (&mut col[..p], &buf[p * k..p * k + p])
+            };
+            for (xi, &lip) in rows.iter_mut().zip(l_col) {
+                *xi -= xp * lip;
+            }
+        }
+    }
+}
+
+/// Substitution for a triangle of order at most `BASE` on the right: each
+/// column of `x` subtracts the solved columns it depends on (contiguous
+/// `axpy`s over the rows), then divides by its diagonal element.
+fn base_right(t: Triangle<'_>, x: &mut MatrixViewMut<'_>) {
+    let mut buf = [0.0; BASE * BASE];
+    let k = t.compact(&mut buf);
+    let (m, ld) = (x.rows(), x.ld());
+    let upper = t.eff() == Uplo::Upper;
+    let data = x.as_mut_slice();
+    for step in 0..k {
+        let (j, solved) = if upper {
+            (step, 0..step)
+        } else {
+            (k - 1 - step, k - step..k)
+        };
+        for p in solved {
+            let lpj = buf[p + j * k];
+            let (dst, src) = column_pair(data, ld, m, j, p);
+            for (xi, &xp) in dst.iter_mut().zip(src) {
+                *xi -= xp * lpj;
+            }
+        }
+        if !t.unit {
+            let d = buf[j + j * k];
+            for xi in &mut data[j * ld..j * ld + m] {
+                *xi /= d;
+            }
+        }
+    }
+}
+
+/// Column `dst` (mutably) and column `src` (`src != dst`) of a column-major
+/// buffer with leading dimension `ld`, `rows` long each.
+pub(crate) fn column_pair(
+    data: &mut [f64],
+    ld: usize,
+    rows: usize,
+    dst: usize,
+    src: usize,
+) -> (&mut [f64], &[f64]) {
+    debug_assert_ne!(dst, src);
+    if src < dst {
+        let (head, tail) = data.split_at_mut(dst * ld);
+        (&mut tail[..rows], &head[src * ld..src * ld + rows])
+    } else {
+        let (head, tail) = data.split_at_mut(src * ld);
+        (&mut head[dst * ld..dst * ld + rows], &tail[..rows])
+    }
+}
+
+/// `C += alpha·op(A)·op(B)` on the packed core, parallel over column panels
+/// of `C` when `cfg` allows. The recursive kernels call it with operands
+/// they have sized themselves, so there is no shape to check.
+pub(crate) fn gemm_acc(
+    alpha: f64,
+    a: &MatrixView<'_>,
+    ta: Trans,
+    b: &MatrixView<'_>,
+    tb: Trans,
+    c: &mut MatrixViewMut<'_>,
+    cfg: &BlockConfig,
+) {
+    let (m, k) = ta.apply((a.rows(), a.cols()));
+    debug_assert_eq!(tb.apply((b.rows(), b.cols())), (k, c.cols()));
+    debug_assert_eq!(c.rows(), m);
+    let (a_data, lda) = (a.as_slice(), a.ld());
+    let (b_data, ldb) = (b.as_slice(), b.ld());
+    let load_a = move |i: usize, p: usize| match ta {
+        Trans::No => a_data[i + p * lda],
+        Trans::Yes => a_data[p + i * lda],
+    };
+    let load_b = move |p: usize, j: usize| match tb {
+        Trans::No => b_data[p + j * ldb],
+        Trans::Yes => b_data[j + p * ldb],
+    };
+    BlockedDriver::new(cfg).accumulate(m, c.cols(), k, alpha, &load_a, &load_b, c);
+}
+
+/// An owned, compact copy of a window.
+pub(crate) fn owned(v: &MatrixView<'_>) -> Matrix {
+    let mut out = Matrix::zeros(v.rows(), v.cols());
+    for j in 0..v.cols() {
+        out.col_mut(j).copy_from_slice(v.col(j));
+    }
+    out
+}
+
+/// Where the recursive kernels split an order `n >= 2`: near the middle, on
+/// a multiple of 8 when that leaves both parts nonempty, so the leading part
+/// fills whole register tiles.
+pub(crate) fn split(n: usize) -> usize {
+    (n / 2).next_multiple_of(8).min(n - 1)
 }
 
 #[cfg(test)]
@@ -490,6 +622,44 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err_r, MatrixError::SingularDiagonal { index: 3 });
+    }
+
+    #[test]
+    fn nan_diagonal_is_reported_as_singular() {
+        // A NaN passes `== 0.0`; both paths must still refuse the solve.
+        let mut l = random_triangular(70, Uplo::Upper, 4);
+        l[(41, 41)] = f64::NAN;
+        let b = random_seeded(70, 3, 5);
+        let mut x = Matrix::zeros(70, 3);
+        for side in [Side::Left, Side::Right] {
+            let (b, mut x) = match side {
+                Side::Left => (b.clone(), x.clone()),
+                Side::Right => (b.transposed(), x.transposed()),
+            };
+            let err = trsm(
+                side,
+                Uplo::Upper,
+                Trans::Yes,
+                1.0,
+                &l.view(),
+                &b.view(),
+                &mut x.view_mut(),
+                &BlockConfig::default(),
+            )
+            .unwrap_err();
+            assert_eq!(err, MatrixError::SingularDiagonal { index: 41 });
+        }
+        let err = trsm_naive(
+            Side::Left,
+            Uplo::Upper,
+            Trans::Yes,
+            1.0,
+            &l.view(),
+            &b.view(),
+            &mut x.view_mut(),
+        )
+        .unwrap_err();
+        assert_eq!(err, MatrixError::SingularDiagonal { index: 41 });
     }
 
     #[test]

@@ -95,6 +95,10 @@ impl<'a> MatrixView<'a> {
     #[must_use]
     pub fn col(&self, j: usize) -> &'a [f64] {
         assert!(j < self.cols, "view column out of bounds");
+        if self.rows == 0 {
+            // A window with no rows borrows no data (see `required_len`).
+            return &[];
+        }
         &self.data[j * self.ld..j * self.ld + self.rows]
     }
 
@@ -222,6 +226,9 @@ impl<'a> MatrixViewMut<'a> {
     /// Panics if `j >= cols`.
     pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
         assert!(j < self.cols, "view column out of bounds");
+        if self.rows == 0 {
+            return &mut [];
+        }
         &mut self.data[j * self.ld..j * self.ld + self.rows]
     }
 
@@ -331,6 +338,15 @@ mod tests {
         let buf = vec![0.0; 10];
         assert!(MatrixView::new(&buf, 5, 2, 4).is_err());
         assert!(MatrixView::new(&buf, 5, 2, 5).is_ok());
+    }
+
+    #[test]
+    fn columns_of_a_window_without_rows_are_empty() {
+        let mut m = Matrix::zeros(4, 3);
+        assert!(m.view().subview(4, 0, 0, 3).col(2).is_empty());
+        let mut full = m.view_mut();
+        let mut empty = full.subview_mut(4, 1, 0, 2);
+        assert!(empty.col_mut(1).is_empty());
     }
 
     #[test]

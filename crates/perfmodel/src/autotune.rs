@@ -4,7 +4,7 @@
 //! The paper's selection argument is only as sharp as the kernel roofline it
 //! measures against, and the roofline depends on blocking parameters that are
 //! machine facts, not constants. `lamb calibrate --autotune` runs the descent
-//! in this module against *measured* GEMM/SYRK/TRSM timings, records the
+//! in this module against *measured* GEMM/SYRK/TRSM/POTRF timings, records the
 //! winning [`BlockConfig`] (plus the GFLOP/s it achieved) in the calibration
 //! store as the v5 `tuned` section, and every warm start — `Planner`,
 //! `BatchPlanner`, [`crate::MeasuredExecutor`] builders in the CLI — runs its
@@ -16,8 +16,10 @@
 //! timing table, which makes the tuner's determinism a testable property.
 
 use crate::store::TunedConfig;
-use lamb_kernels::{gemm_new, syrk_new, trsm_new, BlockConfig, TileVariant};
-use lamb_matrix::random::{random_seeded, random_triangular};
+use lamb_kernels::{
+    gemm_new, potrf_new, syrk_new, trsm_new, BlockConfig, TileVariant, TimingResult,
+};
+use lamb_matrix::random::{random_seeded, random_spd, random_triangular};
 use lamb_matrix::{Side, Trans, Uplo};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -33,7 +35,8 @@ pub mod grid {
     pub const KC: [usize; 5] = [128, 192, 256, 384, 512];
     /// Output columns per outermost block.
     pub const NC: [usize; 4] = [512, 1024, 2048, 4096];
-    /// Diagonal-block order of the triangular recurrences.
+    /// Outer panel width of POTRF, GETRF, QR and ORMQR (and TRMM's
+    /// diagonal block order).
     pub const TRI_BLOCK: [usize; 5] = [32, 48, 64, 96, 128];
     /// Minimum useful FLOPs before forking to Rayon.
     pub const PARALLEL_FLOP_THRESHOLD: [u64; 3] =
@@ -140,29 +143,34 @@ pub fn coordinate_descent(
     }
 }
 
-/// The measured objective: wall-clock seconds for one GEMM, one SYRK and one
-/// TRSM of order `size` under `cfg` (best of `reps` repetitions each, so
-/// scheduler noise inflates no candidate). Lower is better. The three-kernel
-/// mix keeps the descent honest — `tri_block` only shows up in TRSM, and a
-/// tile that wins GEMM but loses the triangular recurrences should not win
-/// overall.
+/// The measured objective: wall-clock seconds for one GEMM, one SYRK, one
+/// TRSM and one POTRF of order `size` under `cfg`, the median of `reps`
+/// timings of the four together, so one timing slowed by the scheduler
+/// neither sinks nor crowns a candidate. Lower is better. The mix keeps the
+/// descent honest: `tri_block` is the outer panel width of POTRF (and of
+/// GETRF, QR and ORMQR, which POTRF stands in for), TRSM picks its own block
+/// sizes, and a tile that wins GEMM but loses the structured kernels should
+/// not win overall.
 #[must_use]
 pub fn measured_score(cfg: &BlockConfig, size: usize, reps: usize) -> f64 {
     let n = size.max(8);
     let a = random_seeded(n, n, 0xA110);
     let b = random_seeded(n, n, 0xB110);
     let l = random_triangular(n, Uplo::Lower, 0x7110);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let c = gemm_new(Trans::No, &a, Trans::No, &b, cfg).expect("square gemm");
-        let s = syrk_new(Uplo::Lower, Trans::No, &a, cfg).expect("square syrk");
-        let x = trsm_new(Side::Left, Uplo::Lower, Trans::No, &l, &b, cfg).expect("square trsm");
-        let dt = start.elapsed().as_secs_f64();
-        std::hint::black_box((c, s, x));
-        best = best.min(dt);
-    }
-    best
+    let spd = random_spd(n, 0x5110);
+    let samples = (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            let c = gemm_new(Trans::No, &a, Trans::No, &b, cfg).expect("square gemm");
+            let s = syrk_new(Uplo::Lower, Trans::No, &a, cfg).expect("square syrk");
+            let x = trsm_new(Side::Left, Uplo::Lower, Trans::No, &l, &b, cfg).expect("square trsm");
+            let f = potrf_new(Uplo::Lower, &spd, cfg).expect("spd potrf");
+            let dt = start.elapsed().as_secs_f64();
+            std::hint::black_box((c, s, x, f));
+            dt
+        })
+        .collect();
+    TimingResult { samples }.median()
 }
 
 /// Measure sustained GEMM GFLOP/s of order `size` under `cfg` (best of
@@ -186,11 +194,12 @@ pub fn measured_gemm_gflops(cfg: &BlockConfig, size: usize, reps: usize) -> f64 
 
 /// Run the full measured autotune from `base` and package the winner as the
 /// store's [`TunedConfig`]. `quick` trades fidelity for speed (smaller
-/// operands, one repetition, one pass) and exists for CI smoke tests; the
-/// full setting is what `lamb calibrate --autotune` runs.
+/// operands, one pass) and exists for CI smoke tests; the full setting is
+/// what `lamb calibrate --autotune` runs. Both score a candidate by the
+/// median of three timings.
 #[must_use]
 pub fn autotune_measured(base: &BlockConfig, quick: bool) -> (TuneOutcome, TunedConfig) {
-    let (size, reps, passes) = if quick { (96, 1, 1) } else { (384, 2, 3) };
+    let (size, reps, passes) = if quick { (96, 3, 1) } else { (384, 3, 3) };
     let mut score = |cfg: &BlockConfig| measured_score(cfg, size, reps);
     let outcome = coordinate_descent(base, &mut score, passes);
     let gflops = measured_gemm_gflops(&outcome.config, size, reps.max(2));
