@@ -120,9 +120,10 @@ pub struct BlockConfig {
     pub kc: usize,
     /// Columns of `C` (and of `op(B)`) per outermost block.
     pub nc: usize,
-    /// Row-block size of the TRMM/TRSM recurrences: the triangular kernels
-    /// walk the triangular operand in diagonal blocks of this order, handling
-    /// everything off the diagonal block with the packed rectangular core.
+    /// Outer panel width of POTRF, GETRF, QR and ORMQR (the recursion
+    /// inside a panel picks its own block sizes), and the diagonal-block
+    /// order of TRMM, which handles everything off the diagonal block with
+    /// the packed rectangular core. TRSM does not read it.
     pub tri_block: usize,
     /// Register-tile shape of the micro-kernel. A tunable like the cache
     /// blocks: the autotuner sweeps it, and it participates in the
@@ -314,9 +315,10 @@ mod tests {
 
     #[test]
     fn fingerprint_covers_the_triangular_block_size() {
-        // Regression for the staleness contract: TRMM/TRSM timings depend on
-        // `tri_block`, so changing it must change the fingerprint (and thereby
-        // flag existing calibration stores as stale).
+        // Regression for the staleness contract: TRMM and factorisation
+        // timings depend on `tri_block`, so changing it must change the
+        // fingerprint (and thereby flag existing calibration stores as
+        // stale).
         let default = BlockConfig::default();
         let retuned = BlockConfig {
             tri_block: default.tri_block * 2,

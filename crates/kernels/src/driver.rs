@@ -15,9 +15,10 @@
 //! The per-kernel modules are thin specialisations: GEMM feeds plain (possibly
 //! transposed) accessors, SYMM a mirroring accessor for its symmetric operand,
 //! SYRK adds the triangle mask on the diagonal blocks of its panel closure,
-//! and TRMM/TRSM walk the triangular operand in diagonal blocks of
-//! [`BlockConfig::tri_block`] rows, handling everything off the diagonal with
-//! the same packed core. Presenting operands through accessors is what lets
+//! TRMM walks the triangular operand in diagonal blocks of
+//! [`BlockConfig::tri_block`] rows, and TRSM and the factorisations recurse
+//! until a small scalar base case remains, handling everything else with the
+//! same packed core. Presenting operands through accessors is what lets
 //! every kernel share one loop nest without materialising transposed, mirrored
 //! or masked copies.
 //!

@@ -53,7 +53,25 @@ pub fn gemm(
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return Ok(());
     }
+    gemm_acc(alpha, a, transa, b, transb, c, cfg);
+    Ok(())
+}
 
+/// `C += alpha * op(A) * op(B)` on the packed core, parallel over column
+/// panels of `C` when `cfg` allows: [`gemm`] without its shape checks and
+/// `beta`, for the recursive kernels, which size their operands themselves.
+pub(crate) fn gemm_acc(
+    alpha: f64,
+    a: &MatrixView<'_>,
+    transa: Trans,
+    b: &MatrixView<'_>,
+    transb: Trans,
+    c: &mut MatrixViewMut<'_>,
+    cfg: &BlockConfig,
+) {
+    let (m, k) = transa.apply((a.rows(), a.cols()));
+    debug_assert_eq!(transb.apply((b.rows(), b.cols())), (k, c.cols()));
+    debug_assert_eq!(c.rows(), m);
     let a_data = a.as_slice();
     let lda = a.ld();
     let b_data = b.as_slice();
@@ -67,8 +85,7 @@ pub fn gemm(
         Trans::Yes => b_data[j + p * ldb],
     };
 
-    BlockedDriver::new(cfg).accumulate(m, n, k, alpha, &load_a, &load_b, c);
-    Ok(())
+    BlockedDriver::new(cfg).accumulate(m, c.cols(), k, alpha, &load_a, &load_b, c);
 }
 
 #[cfg(test)]

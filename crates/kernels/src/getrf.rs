@@ -17,7 +17,7 @@
 //! 1. factors the left `k` columns, full height, recursively,
 //! 2. applies their row swaps to the right columns,
 //! 3. computes `U₁₂ := L₁₁⁻¹·A₁₂` in place with the recursive triangular
-//!    solve of [`crate::trsm`] on the unit-lower block,
+//!    solve of [`mod@crate::trsm`] on the unit-lower block,
 //! 4. updates `A₂₂ -= L₂₁·U₁₂` with one GEMM-shaped update on the packed
 //!    core, and
 //! 5. factors `A₂₂` recursively and applies its row swaps to `L₂₁`.
@@ -34,7 +34,8 @@
 //! the pivot indices, stored as `f64`, in column `n`.
 
 use crate::config::BlockConfig;
-use crate::trsm::{column_pair, gemm_acc, owned, solve, split, Triangle};
+use crate::gemm::gemm_acc;
+use crate::trsm::{column_pair, owned, solve, split, Triangle};
 use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// Widest column range factored by the scalar loop.

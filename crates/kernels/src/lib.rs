@@ -15,9 +15,11 @@
 //! `NR`-column panels of `op(B)`) and a register-blocked micro-kernel
 //! accumulates `MR x NR` tiles of `C`. Per-kernel code reduces to an element
 //! accessor (plain, transposed, symmetric-mirrored or triangle-masked), a
-//! panel policy and — for the triangular kernels — a diagonal-block
-//! recurrence. Parallelism is extracted over disjoint column panels of `C`,
-//! which keeps the implementation free of `unsafe`.
+//! panel policy and — for TRMM — a diagonal-block recurrence. TRSM and the
+//! factorisations are recursive: they split their triangle or column range
+//! until a small scalar base case remains, and everything else is a
+//! GEMM-shaped update on the engine. Parallelism is extracted over disjoint
+//! column panels of `C`, which keeps the implementation free of `unsafe`.
 //!
 //! This crate substitutes for the Intel MKL used in the paper's experimental
 //! setup; see `DESIGN.md` at the workspace root for the substitution argument.

@@ -15,7 +15,7 @@
 //!
 //! 1. factors the leading `k x k` block recursively,
 //! 2. solves the panel below (right of) it in place with the recursive
-//!    triangular solve of [`crate::trsm`], and
+//!    triangular solve of [`mod@crate::trsm`], and
 //! 3. folds the panel into the trailing block with a rank-`k` update
 //!    (`rank_update`): [`crate::syrk::syrk`] when it runs in parallel or is
 //!    small, otherwise a recursion into GEMM-shaped off-diagonal blocks on
@@ -36,8 +36,9 @@
 //! anomalies.
 
 use crate::config::BlockConfig;
+use crate::gemm::gemm_acc;
 use crate::syrk::syrk;
-use crate::trsm::{column_pair, gemm_acc, owned, solve, split, Triangle};
+use crate::trsm::{column_pair, owned, solve, split, Triangle};
 use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// Largest order factored by the scalar loop.

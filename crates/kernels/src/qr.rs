@@ -35,8 +35,9 @@
 //! least-squares pipeline is `x = R⁻¹·(Qᵀb)` via one ORMQR and one TRSM.
 
 use crate::config::BlockConfig;
+use crate::gemm::gemm_acc;
 use crate::potrf::rank_update;
-use crate::trsm::{column_pair, gemm_acc, owned, split};
+use crate::trsm::{column_pair, owned, split};
 use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans, Uplo};
 
 /// Widest column range factored by the scalar loop.

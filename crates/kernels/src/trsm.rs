@@ -32,6 +32,7 @@
 
 use crate::config::BlockConfig;
 use crate::driver::BlockedDriver;
+use crate::gemm::gemm_acc;
 use crate::trmm::check_triangular_shapes;
 use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
 
@@ -397,34 +398,6 @@ pub(crate) fn column_pair(
         let (head, tail) = data.split_at_mut(src * ld);
         (&mut head[dst * ld..dst * ld + rows], &tail[..rows])
     }
-}
-
-/// `C += alpha·op(A)·op(B)` on the packed core, parallel over column panels
-/// of `C` when `cfg` allows. The recursive kernels call it with operands
-/// they have sized themselves, so there is no shape to check.
-pub(crate) fn gemm_acc(
-    alpha: f64,
-    a: &MatrixView<'_>,
-    ta: Trans,
-    b: &MatrixView<'_>,
-    tb: Trans,
-    c: &mut MatrixViewMut<'_>,
-    cfg: &BlockConfig,
-) {
-    let (m, k) = ta.apply((a.rows(), a.cols()));
-    debug_assert_eq!(tb.apply((b.rows(), b.cols())), (k, c.cols()));
-    debug_assert_eq!(c.rows(), m);
-    let (a_data, lda) = (a.as_slice(), a.ld());
-    let (b_data, ldb) = (b.as_slice(), b.ld());
-    let load_a = move |i: usize, p: usize| match ta {
-        Trans::No => a_data[i + p * lda],
-        Trans::Yes => a_data[p + i * lda],
-    };
-    let load_b = move |p: usize, j: usize| match tb {
-        Trans::No => b_data[p + j * ldb],
-        Trans::Yes => b_data[j + p * ldb],
-    };
-    BlockedDriver::new(cfg).accumulate(m, c.cols(), k, alpha, &load_a, &load_b, c);
 }
 
 /// An owned, compact copy of a window.

@@ -128,7 +128,7 @@ pub fn is_triangular(a: &Matrix, uplo: Uplo) -> Result<bool> {
 /// diverge (or fail outright with a non-positive pivot).
 ///
 /// The pivot recurrence below must stay in lockstep with the kernel crate's
-/// `potrf` diagonal-block factor (this crate sits *below* `lamb-kernels` in
+/// `potrf_naive` reference factor (this crate sits *below* `lamb-kernels` in
 /// the dependency order, so it cannot call `potrf_naive` and carries its own
 /// copy): in particular, both reject NaN pivots.
 ///

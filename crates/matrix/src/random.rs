@@ -72,15 +72,27 @@ pub fn random_triangular(n: usize, uplo: Uplo, seed: u64) -> Matrix {
 /// of the same expression see identical SPD operands.
 #[must_use]
 pub fn random_spd(n: usize, seed: u64) -> Matrix {
-    let dense = random_seeded(n, n, seed);
-    Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            n as f64 + 1.0
-        } else {
-            // Exact symmetry: both (i, j) and (j, i) read the same pair.
-            0.5 * (dense[(i, j)] + dense[(j, i)])
+    // Symmetrise in place, one pair of square tiles at a time, so the
+    // transposed reads stay in cache and no second matrix is allocated.
+    const TILE: usize = 32;
+    let mut spd = random_seeded(n, n, seed);
+    let d = spd.as_mut_slice();
+    for j0 in (0..n).step_by(TILE) {
+        for i0 in (0..=j0).step_by(TILE) {
+            for j in j0..(j0 + TILE).min(n) {
+                for i in i0..(i0 + TILE).min(j) {
+                    // Exact symmetry: (i, j) and (j, i) get the same value.
+                    let v = 0.5 * (d[i + j * n] + d[j + i * n]);
+                    d[i + j * n] = v;
+                    d[j + i * n] = v;
+                }
+            }
         }
-    })
+    }
+    for i in 0..n {
+        d[i + i * n] = n as f64 + 1.0;
+    }
+    spd
 }
 
 /// Create a random symmetric `n x n` matrix (A + Aᵀ scaled to stay in range).
@@ -165,6 +177,23 @@ mod tests {
         // Degenerate orders are well defined.
         assert!(crate::ops::is_spd(&random_spd(0, 1), 1e-12).unwrap());
         assert!(crate::ops::is_spd(&random_spd(1, 1), 1e-12).unwrap());
+    }
+
+    #[test]
+    fn random_spd_averages_each_pair_of_seeded_entries() {
+        // The tiled in-place symmetrisation gives exactly the elementwise
+        // definition, across tile edges and partial tiles.
+        for n in [2, 31, 32, 33, 70] {
+            let dense = random_seeded(n, n, 5);
+            let expected = Matrix::from_fn(n, n, |i, j| {
+                if i == j {
+                    n as f64 + 1.0
+                } else {
+                    0.5 * (dense[(i, j)] + dense[(j, i)])
+                }
+            });
+            assert_eq!(random_spd(n, 5), expected, "n = {n}");
+        }
     }
 
     #[test]
