@@ -323,28 +323,47 @@ fn solve_right(t: Triangle<'_>, x: &mut MatrixViewMut<'_>, cfg: &BlockConfig) {
     }
 }
 
-/// Substitution for a triangle of order at most `BASE`, one right-hand
-/// side column at a time: each solved element updates the rest of its
-/// column with one contiguous `axpy`.
+/// Substitution for a triangle of order at most `BASE`, `LANES`
+/// right-hand-side columns at a time: the columns are loaded into a
+/// row-major block so that every step of the substitution is one
+/// fixed-length vector operation across them.
 fn base_left(t: Triangle<'_>, x: &mut MatrixViewMut<'_>) {
+    const LANES: usize = 8;
     let mut buf = [0.0; BASE * BASE];
     let k = t.compact(&mut buf);
     let lower = t.eff() == Uplo::Lower;
-    for j in 0..x.cols() {
-        let col = x.col_mut(j);
+    let (w, ld) = (x.cols(), x.ld());
+    let data = x.as_mut_slice();
+    for j0 in (0..w).step_by(LANES) {
+        let lanes = LANES.min(w - j0);
+        let mut block = [[0.0f64; LANES]; BASE];
+        for jj in 0..lanes {
+            let col = &data[(j0 + jj) * ld..(j0 + jj) * ld + k];
+            for (row, &v) in block.iter_mut().zip(col) {
+                row[jj] = v;
+            }
+        }
         for step in 0..k {
             let p = if lower { step } else { k - 1 - step };
             if !t.unit {
-                col[p] /= buf[p + p * k];
+                let d = buf[p + p * k];
+                for v in &mut block[p] {
+                    *v /= d;
+                }
             }
-            let xp = col[p];
-            let (rows, l_col) = if lower {
-                (&mut col[p + 1..], &buf[p * k + p + 1..(p + 1) * k])
-            } else {
-                (&mut col[..p], &buf[p * k..p * k + p])
-            };
-            for (xi, &lip) in rows.iter_mut().zip(l_col) {
-                *xi -= xp * lip;
+            let xp = block[p];
+            let rows = if lower { p + 1..k } else { 0..p };
+            for i in rows {
+                let lip = buf[i + p * k];
+                for (v, &s) in block[i].iter_mut().zip(&xp) {
+                    *v -= lip * s;
+                }
+            }
+        }
+        for jj in 0..lanes {
+            let col = &mut data[(j0 + jj) * ld..(j0 + jj) * ld + k];
+            for (v, row) in col.iter_mut().zip(&block) {
+                *v = row[jj];
             }
         }
     }
