@@ -8,25 +8,26 @@
 //! (LAPACK `ipiv` convention, zero-based), so `P` is recovered by replaying
 //! the swaps in order.
 //!
-//! Structure: a **recursive right-looking** algorithm (Toledo's recursive
-//! LU) on in-place views of `A`. A column range wider than `BASE` is split
-//! at `k`, where `k` is [`BlockConfig::tri_block`] when the range is wider
-//! (the outer panel width) and otherwise about half the range (the
-//! recursion inside a panel). Each split
+//! Structure: a **two-level right-looking** algorithm on in-place views of
+//! `A`. The outer loop walks the columns in panels of
+//! [`BlockConfig::tri_block`] (the outer panel width); inside a panel,
+//! Toledo's recursive LU halves the column range until at most `BASE`
+//! columns remain. Each step, at either level, with `k` columns
 //!
-//! 1. factors the left `k` columns, full height, recursively,
-//! 2. applies their row swaps to the right columns,
+//! 1. factors the left `k` columns, full height, by the recursion,
+//! 2. applies their row swaps to the other columns,
 //! 3. computes `U₁₂ := L₁₁⁻¹·A₁₂` in place with the recursive triangular
-//!    solve of [`mod@crate::trsm`] on the unit-lower block,
+//!    solve of [`mod@crate::trsm`] on the unit-lower block, and
 //! 4. updates `A₂₂ -= L₂₁·U₁₂` with one GEMM-shaped update on the packed
-//!    core, and
-//! 5. factors `A₂₂` recursively and applies its row swaps to `L₂₁`.
+//!    core,
+//!
+//! and leaves `A₂₂` to the next step, whose row swaps then reach `L₂₁`.
 //!
 //! Column ranges of at most `BASE` are factored by a scalar loop over
 //! contiguous columns, which reports [`MatrixError::SingularDiagonal`] on a
 //! pivot column that is exactly zero or holds a NaN. That loop is
 //! `O(n²·BASE)` of the `2n³/3` FLOPs (see [`crate::flops::getrf_flops`]);
-//! everything else runs on the packed core. The one copy per split is
+//! everything else runs on the packed core. The one copy per step is
 //! `U₁₂`, which shares its columns with `A₂₂`.
 //!
 //! [`getrf_packed`] produces the single-operand packed form the kernel-call
@@ -55,22 +56,64 @@ pub fn getrf(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>, cfg: &BlockConfig)
     let n = check_square(a)?;
     piv.clear();
     piv.resize(n, 0);
-    lu(a.subview_mut(0, 0, n, n), piv, 0, cfg)
+    let tb = cfg.tri_block.max(1);
+    let mut k0 = 0;
+    while k0 < n {
+        let kb = tb.min(n - k0);
+        let (mut done, rest) = a.subview_mut(k0, 0, n - k0, n).split_at_col_mut(k0);
+        let panel_piv = &mut piv[k0..k0 + kb];
+        step(rest, kb, panel_piv, k0, cfg)?;
+        // The factored columns to the left take the panel's swaps too.
+        apply_swaps(&mut done, panel_piv, 0);
+        for p in panel_piv {
+            *p += k0;
+        }
+        k0 += kb;
+    }
+    Ok(())
 }
 
-/// Factor the view `a` (at least as many rows as columns), whose first
-/// column has absolute index `offset`. `piv[j]` receives the row of `a`
-/// swapped into row `j`; every swap is applied across all of `a`'s columns.
+/// Factor the view `a` (at least as many rows as columns) by halving; its
+/// first column has absolute index `offset`. `piv[j]` receives the row of
+/// `a` swapped into row `j`; every swap is applied across all of `a`'s
+/// columns.
 fn lu(mut a: MatrixViewMut<'_>, piv: &mut [usize], offset: usize, cfg: &BlockConfig) -> Result<()> {
     let (m, n) = (a.rows(), a.cols());
     if n <= BASE {
         return lu_base(&mut a, piv, offset);
     }
-    let tb = cfg.tri_block.max(1);
-    let k = if n > tb { tb } else { split(n) };
+    let h = split(n);
+    step(a.subview_mut(0, 0, m, n), h, &mut piv[..h], offset, cfg)?;
+    lu(
+        a.subview_mut(h, h, m - h, n - h),
+        &mut piv[h..],
+        offset + h,
+        cfg,
+    )?;
+    for p in &mut piv[h..] {
+        *p += h;
+    }
+    apply_swaps(&mut a.subview_mut(0, 0, m, h), &piv[h..], h);
+    Ok(())
+}
+
+/// Factor the first `k` columns of the view `a` (full height) and update
+/// the columns to their right: apply the row swaps, solve `U₁₂` and update
+/// `A₂₂`, which is left for the caller to factor.
+fn step(
+    a: MatrixViewMut<'_>,
+    k: usize,
+    piv: &mut [usize],
+    offset: usize,
+    cfg: &BlockConfig,
+) -> Result<()> {
+    let (m, n) = (a.rows(), a.cols());
     let (mut left, mut right) = a.split_at_col_mut(k);
-    lu(left.subview_mut(0, 0, m, k), &mut piv[..k], offset, cfg)?;
-    apply_swaps(&mut right, &piv[..k], 0);
+    lu(left.subview_mut(0, 0, m, k), piv, offset, cfg)?;
+    if n == k {
+        return Ok(());
+    }
+    apply_swaps(&mut right, piv, 0);
     let t = Triangle {
         l: left.as_view().subview(0, 0, k, k),
         uplo: Uplo::Lower,
@@ -78,6 +121,7 @@ fn lu(mut a: MatrixViewMut<'_>, piv: &mut [usize], offset: usize, cfg: &BlockCon
         unit: true,
     };
     solve(Side::Left, t, &mut right.subview_mut(0, 0, k, n - k), cfg);
+    // U12 shares its columns with A22, so the update reads a copy.
     let u12 = owned(&right.as_view().subview(0, 0, k, n - k));
     gemm_acc(
         -1.0,
@@ -88,16 +132,6 @@ fn lu(mut a: MatrixViewMut<'_>, piv: &mut [usize], offset: usize, cfg: &BlockCon
         &mut right.subview_mut(k, 0, m - k, n - k),
         cfg,
     );
-    lu(
-        right.subview_mut(k, 0, m - k, n - k),
-        &mut piv[k..],
-        offset + k,
-        cfg,
-    )?;
-    for p in &mut piv[k..] {
-        *p += k;
-    }
-    apply_swaps(&mut left, &piv[k..], k);
     Ok(())
 }
 

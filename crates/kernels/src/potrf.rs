@@ -7,13 +7,13 @@
 //! only the stored triangle in, which is exactly what the out-of-place
 //! [`crate::dispatch::Kernel::Potrf`] realisation does).
 //!
-//! Structure: a **recursive right-looking** algorithm on in-place views of
-//! `A`. A matrix of order above `BASE` is split at `k`, where `k` is
-//! [`BlockConfig::tri_block`] when the order exceeds it (the outer panel
-//! width) and otherwise about half the order (the recursion inside a
-//! panel). Each split
+//! Structure: a **two-level right-looking** algorithm on in-place views of
+//! `A`. The outer loop walks the diagonal in blocks of
+//! [`BlockConfig::tri_block`] (the outer panel width); inside a block the
+//! recursion halves the order until at most `BASE` remains. Each step, at
+//! either level, with block order `k`,
 //!
-//! 1. factors the leading `k x k` block recursively,
+//! 1. factors the leading `k x k` block by the recursion,
 //! 2. solves the panel below (right of) it in place with the recursive
 //!    triangular solve of [`mod@crate::trsm`], and
 //! 3. folds the panel into the trailing block with a rank-`k` update
@@ -21,7 +21,7 @@
 //!    small, otherwise a recursion into GEMM-shaped off-diagonal blocks on
 //!    the packed core and SYRK diagonal blocks of order at most `LEAF`,
 //!
-//! then factors the trailing block the same way. Blocks of order at most
+//! and leaves the trailing block to the next step. Blocks of order at most
 //! `BASE` are factored by a scalar loop over contiguous columns (reporting
 //! [`MatrixError::NotPositiveDefinite`] on a non-positive or NaN pivot),
 //! which is `O(n·BASE²)` of the `n³/3` FLOPs; everything else runs on the
@@ -59,21 +59,44 @@ const LEAF: usize = 32;
 /// triangle holds a partial factor.
 pub fn potrf(uplo: Uplo, a: &mut MatrixViewMut<'_>, cfg: &BlockConfig) -> Result<()> {
     let n = check_square(a)?;
-    chol(uplo, a.subview_mut(0, 0, n, n), 0, cfg)
+    let tb = cfg.tri_block.max(1);
+    let mut k0 = 0;
+    while k0 < n {
+        let kb = tb.min(n - k0);
+        step(uplo, a.subview_mut(k0, k0, n - k0, n - k0), kb, k0, cfg)?;
+        k0 += kb;
+    }
+    Ok(())
 }
 
-/// Factor the square view `a`, whose first pivot has absolute index
-/// `offset`.
+/// Factor the square view `a` by halving; its first pivot has absolute
+/// index `offset`.
 fn chol(uplo: Uplo, mut a: MatrixViewMut<'_>, offset: usize, cfg: &BlockConfig) -> Result<()> {
     let n = a.rows();
     if n <= BASE {
         return chol_base(uplo, &mut a, offset);
     }
-    let tb = cfg.tri_block.max(1);
-    let k = if n > tb { tb } else { split(n) };
-    let r = n - k;
+    let h = split(n);
+    step(uplo, a.subview_mut(0, 0, n, n), h, offset, cfg)?;
+    chol(uplo, a.subview_mut(h, h, n - h, n - h), offset + h, cfg)
+}
+
+/// Factor the leading `k x k` block of the square view `a`, solve the panel
+/// below (right of) it and fold the panel into the trailing block, which is
+/// left for the caller to factor.
+fn step(
+    uplo: Uplo,
+    a: MatrixViewMut<'_>,
+    k: usize,
+    offset: usize,
+    cfg: &BlockConfig,
+) -> Result<()> {
+    let r = a.rows() - k;
     let (mut left, mut right) = a.split_at_col_mut(k);
     chol(uplo, left.subview_mut(0, 0, k, k), offset, cfg)?;
+    if r == 0 {
+        return Ok(());
+    }
     match uplo {
         Uplo::Lower => {
             // L21 := A21·L11⁻ᵀ, then A22 -= L21·L21ᵀ.
@@ -87,7 +110,7 @@ fn chol(uplo: Uplo, mut a: MatrixViewMut<'_>, offset: usize, cfg: &BlockConfig) 
             solve(Side::Right, t, &mut left.subview_mut(k, 0, r, k), cfg);
             let l21 = left.as_view().subview(k, 0, r, k);
             let mut a22 = right.subview_mut(k, 0, r, r);
-            rank_update(uplo, -1.0, &l21, Trans::No, &mut a22, cfg)?;
+            rank_update(uplo, -1.0, &l21, Trans::No, &mut a22, cfg)
         }
         Uplo::Upper => {
             // U12 := U11⁻ᵀ·A12, then A22 -= U12ᵀ·U12.
@@ -100,10 +123,9 @@ fn chol(uplo: Uplo, mut a: MatrixViewMut<'_>, offset: usize, cfg: &BlockConfig) 
             solve(Side::Left, t, &mut right.subview_mut(0, 0, k, r), cfg);
             let u12 = owned(&right.as_view().subview(0, 0, k, r));
             let mut a22 = right.subview_mut(k, 0, r, r);
-            rank_update(uplo, -1.0, &u12.view(), Trans::Yes, &mut a22, cfg)?;
+            rank_update(uplo, -1.0, &u12.view(), Trans::Yes, &mut a22, cfg)
         }
     }
-    chol(uplo, right.subview_mut(k, 0, r, r), offset + k, cfg)
 }
 
 /// `C := C + alpha·op(A)·op(A)ᵀ` on the `uplo` triangle of the square `c`,

@@ -7,19 +7,20 @@
 //! the scalar coefficients `tau`, reflector `j` is `H_j = I - tau_j·v_j·v_jᵀ`
 //! and `Q = H_0·H_1⋯H_{n-1}`.
 //!
-//! Structure: a **recursive compact-WY** algorithm (Elmroth and Gustavson's
-//! recursive QR) on in-place views of `A`. A column range wider than `BASE`
-//! is split at `k`, where `k` is [`BlockConfig::tri_block`] when the range
-//! is wider (the outer panel width) and otherwise about half the range (the
-//! recursion inside a panel). Each split
+//! Structure: a **two-level compact-WY** algorithm on in-place views of
+//! `A`. The outer loop walks the columns in panels of
+//! [`BlockConfig::tri_block`] (the outer panel width); inside a panel,
+//! Elmroth and Gustavson's recursive QR halves the column range until at
+//! most `BASE` columns remain. Each step, at either level, with `k` columns
 //!
-//! 1. factors the left `k` columns, full height, recursively,
+//! 1. factors the left `k` columns, full height, by the recursion,
 //! 2. forms their triangular factor `T` (`larft`, forward columnwise) from
 //!    one `VᵀV` product on the packed core, so the `k` reflectors are
-//!    `I - V·T·Vᵀ`,
+//!    `I - V·T·Vᵀ`, and
 //! 3. applies `Qₖᵀ = I - V·Tᵀ·Vᵀ` to the right columns in place with
-//!    three GEMM-shaped updates (`apply_block_reflector`), and
-//! 4. factors the lower right block recursively.
+//!    three GEMM-shaped updates (`apply_block_reflector`),
+//!
+//! and leaves the lower right block to the next step.
 //!
 //! Column ranges of at most `BASE` are factored by a scalar loop over
 //! contiguous columns (an exactly-zero column yields `tau = 0`, i.e. the
@@ -54,25 +55,44 @@ pub fn qr(a: &mut MatrixViewMut<'_>, tau: &mut Vec<f64>, cfg: &BlockConfig) -> R
     let (m, n) = check_tall(a)?;
     tau.clear();
     tau.resize(n, 0.0);
-    householder(a.subview_mut(0, 0, m, n), tau, cfg)
+    let tb = cfg.tri_block.max(1);
+    let mut k0 = 0;
+    while k0 < n {
+        let kb = tb.min(n - k0);
+        let panel = a.subview_mut(k0, k0, m - k0, n - k0);
+        step(panel, kb, &mut tau[k0..k0 + kb], cfg)?;
+        k0 += kb;
+    }
+    Ok(())
 }
 
-/// Factor the view `a` (at least as many rows as columns) in place, writing
-/// one coefficient per column into `tau`.
+/// Factor the view `a` (at least as many rows as columns) by halving,
+/// writing one coefficient per column into `tau`.
 fn householder(mut a: MatrixViewMut<'_>, tau: &mut [f64], cfg: &BlockConfig) -> Result<()> {
     let (m, n) = (a.rows(), a.cols());
     if n <= BASE {
         householder_base(&mut a, tau);
         return Ok(());
     }
-    let tb = cfg.tri_block.max(1);
-    let k = if n > tb { tb } else { split(n) };
+    let h = split(n);
+    step(a.subview_mut(0, 0, m, n), h, &mut tau[..h], cfg)?;
+    householder(a.subview_mut(h, h, m - h, n - h), &mut tau[h..], cfg)
+}
+
+/// Factor the first `k` columns of the view `a` (full height) and apply
+/// their block reflector to the columns to their right, whose lower part is
+/// left for the caller to factor.
+fn step(a: MatrixViewMut<'_>, k: usize, tau: &mut [f64], cfg: &BlockConfig) -> Result<()> {
+    let m = a.rows();
     let (mut left, mut right) = a.split_at_col_mut(k);
-    householder(left.subview_mut(0, 0, m, k), &mut tau[..k], cfg)?;
+    householder(left.subview_mut(0, 0, m, k), tau, cfg)?;
+    if right.cols() == 0 {
+        return Ok(());
+    }
     let v = reflectors(&left.as_view());
-    let t = larft(&v.view(), &tau[..k], cfg)?;
+    let t = larft(&v.view(), tau, cfg)?;
     apply_block_reflector(&v.view(), &t.view(), &mut right, cfg);
-    householder(right.subview_mut(k, 0, m - k, n - k), &mut tau[k..], cfg)
+    Ok(())
 }
 
 /// Scalar Householder QR of a view at most `BASE` columns wide, over
