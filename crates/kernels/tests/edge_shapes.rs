@@ -1,14 +1,14 @@
 //! Edge-shape agreement of the structured kernels with their unblocked
-//! references: TRSM, POTRF, GETRF, QR and ORMQR at orders on both sides of
-//! every block and recursion boundary, under the default, serial, tiny and
-//! forced-parallel configurations.
+//! references: TRMM, SYRK, TRSM, POTRF, GETRF, QR and ORMQR at orders on
+//! both sides of every block and recursion boundary, under the default,
+//! serial, tiny and forced-parallel configurations.
 //!
 //! References are computed once per case and compared with every
 //! configuration, so the test stays cheap in unoptimised builds.
 
 use lamb_kernels::{
-    getrf, getrf_naive, ormqr, ormqr_naive, potrf, potrf_naive, qr, qr_naive, qr_packed, trsm,
-    trsm_naive, BlockConfig,
+    gemm_naive, getrf, getrf_naive, ormqr, ormqr_naive, potrf, potrf_naive, qr, qr_naive,
+    qr_packed, syrk, trmm, trmm_naive, trsm, trsm_naive, BlockConfig,
 };
 use lamb_matrix::ops::max_abs_diff;
 use lamb_matrix::random::{random_seeded, random_spd, random_triangular};
@@ -46,6 +46,113 @@ fn tol(order: usize) -> f64 {
 fn structured_kernels_agree_with_their_references_on_edge_shapes() {
     let configs = configs();
     for &n in &ORDERS {
+        // TRMM: every side, uplo and trans, every width of the other side.
+        for side in [Side::Left, Side::Right] {
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                let l = random_triangular(n, uplo, 5 + n as u64);
+                for trans in [Trans::No, Trans::Yes] {
+                    for &w in &WIDTHS {
+                        let (rows, cols) = match side {
+                            Side::Left => (n, w),
+                            Side::Right => (w, n),
+                        };
+                        let b = random_seeded(rows, cols, 100 + w as u64);
+                        let mut reference = Matrix::zeros(rows, cols);
+                        trmm_naive(
+                            side,
+                            uplo,
+                            trans,
+                            -1.5,
+                            &l.view(),
+                            &b.view(),
+                            &mut reference.view_mut(),
+                        )
+                        .unwrap();
+                        for (name, cfg) in &configs {
+                            let mut c = Matrix::filled(rows, cols, f64::NAN);
+                            trmm(
+                                side,
+                                uplo,
+                                trans,
+                                -1.5,
+                                &l.view(),
+                                &b.view(),
+                                &mut c.view_mut(),
+                                cfg,
+                            )
+                            .unwrap();
+                            let diff = max_abs_diff(&c, &reference).unwrap();
+                            assert!(
+                                diff < tol(n),
+                                "trmm {side:?}/{uplo:?}/{trans:?} order {n} width {w} \
+                                 [{name}]: diff {diff}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        // SYRK: both triangles and both transpositions, inner dimensions
+        // from WIDTHS; the stored triangle matches the full product and the
+        // opposite triangle keeps its sentinel.
+        const SENTINEL: f64 = 777.0;
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            for trans in [Trans::No, Trans::Yes] {
+                for &k in &WIDTHS {
+                    let (rows, cols) = match trans {
+                        Trans::No => (n, k),
+                        Trans::Yes => (k, n),
+                    };
+                    let a = random_seeded(rows, cols, 300 + (n + k) as u64);
+                    let c0 = Matrix::from_fn(n, n, |i, j| {
+                        if uplo.contains(i, j) {
+                            ((i + 2 * j) % 7) as f64 - 3.0
+                        } else {
+                            SENTINEL
+                        }
+                    });
+                    for beta in [0.0, 1.0, -0.5] {
+                        let mut reference = c0.clone();
+                        gemm_naive(
+                            trans,
+                            trans.flip(),
+                            -1.5,
+                            &a.view(),
+                            &a.view(),
+                            beta,
+                            &mut reference.view_mut(),
+                        )
+                        .unwrap();
+                        for (name, cfg) in &configs {
+                            let mut c = c0.clone();
+                            syrk(uplo, trans, -1.5, &a.view(), beta, &mut c.view_mut(), cfg)
+                                .unwrap();
+                            for j in 0..n {
+                                for i in 0..n {
+                                    if uplo.contains(i, j) {
+                                        let diff = (c[(i, j)] - reference[(i, j)]).abs();
+                                        assert!(
+                                            diff < tol(k),
+                                            "syrk {uplo:?}/{trans:?} order {n} k {k} \
+                                             beta {beta} [{name}] ({i},{j}): diff {diff}"
+                                        );
+                                    } else {
+                                        assert_eq!(
+                                            c[(i, j)],
+                                            SENTINEL,
+                                            "syrk {uplo:?}/{trans:?} order {n} k {k} \
+                                             beta {beta} [{name}] wrote ({i},{j})"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
         // TRSM: every side, uplo and trans, every right-hand-side width.
         for side in [Side::Left, Side::Right] {
             for uplo in [Uplo::Lower, Uplo::Upper] {
