@@ -107,8 +107,8 @@ pub const MAX_TILE_ACC: usize = {
     max
 };
 
-/// Cache-blocking and parallelisation parameters shared by GEMM, SYRK and
-/// SYMM.
+/// Cache-blocking and parallelisation parameters shared by every kernel of
+/// this crate.
 ///
 /// The defaults target a generic x86-64 core: an `MC x KC` block of the packed
 /// `A` operand fits comfortably in L2, a `KC x NR` sliver of packed `B` in L1.
@@ -121,9 +121,8 @@ pub struct BlockConfig {
     /// Columns of `C` (and of `op(B)`) per outermost block.
     pub nc: usize,
     /// Outer panel width of POTRF, GETRF, QR and ORMQR (the recursion
-    /// inside a panel picks its own block sizes), and the diagonal-block
-    /// order of TRMM, which handles everything off the diagonal block with
-    /// the packed rectangular core. TRSM does not read it.
+    /// inside a panel picks its own block sizes). TRMM, SYRK and TRSM do
+    /// not read it: their recursions pick their own block sizes too.
     pub tri_block: usize,
     /// Register-tile shape of the micro-kernel. A tunable like the cache
     /// blocks: the autotuner sweeps it, and it participates in the
@@ -186,11 +185,13 @@ impl BlockConfig {
     /// parallel under this configuration.
     #[must_use]
     pub fn should_parallelise(&self, m: usize, n: usize, k: usize) -> bool {
-        if !self.parallel || rayon::current_num_threads() <= 1 {
-            return false;
-        }
+        // The thread count is asked last: it reads the environment and the
+        // CPU affinity on every call, which costs more than a small product.
         let flops = 2 * (m as u64) * (n as u64) * (k as u64);
-        flops >= self.parallel_flop_threshold && n >= 2 * self.tile.nr()
+        self.parallel
+            && flops >= self.parallel_flop_threshold
+            && n >= 2 * self.tile.nr()
+            && rayon::current_num_threads() > 1
     }
 
     /// Width of the column panels distributed to Rayon workers for an output
@@ -205,7 +206,7 @@ impl BlockConfig {
     }
 
     /// A short, stable fingerprint of every parameter that affects kernel
-    /// timing (cache blocks, the triangular-kernel diagonal block, register
+    /// timing (cache blocks, the factorisations' panel width, register
     /// tile, parallel policy). Calibration stores record it as staleness
     /// metadata: benchmark times taken under one configuration are not
     /// comparable to runs under another, so every timing-relevant knob —
@@ -315,7 +316,7 @@ mod tests {
 
     #[test]
     fn fingerprint_covers_the_triangular_block_size() {
-        // Regression for the staleness contract: TRMM and factorisation
+        // Regression for the staleness contract: the factorisations'
         // timings depend on `tri_block`, so changing it must change the
         // fingerprint (and thereby flag existing calibration stores as
         // stale).

@@ -2,33 +2,35 @@
 //!
 //! GEMM, SYRK, SYMM, TRMM and TRSM all reduce to the same three ingredients:
 //!
-//! 1. a **packed serial core** ([`BlockedDriver::accumulate_serial`]) that
-//!    accumulates `C += alpha * OpA * OpB` with cache blocking, packing and a
-//!    register-tiled micro-kernel, where the logical operands are presented
-//!    through element accessor closures;
+//! 1. a **packed serial core** (`accumulate_serial`, private, reached through
+//!    [`BlockedDriver::accumulate`]) that accumulates `C += alpha * OpA * OpB`
+//!    with cache blocking, packing and a register-tiled micro-kernel, where
+//!    the logical operands are presented through element accessor closures;
 //! 2. a **column-panel partitioner** ([`BlockedDriver::for_each_panel`]) that
 //!    splits the output into disjoint column panels and runs a per-panel
 //!    closure either serially or on Rayon workers;
 //! 3. the **beta-scaling rule** ([`scale_inplace`]) with the BLAS convention
 //!    that `beta == 0` writes zeros without reading the previous contents.
 //!
-//! The per-kernel modules are thin specialisations: GEMM feeds plain (possibly
-//! transposed) accessors, SYMM a mirroring accessor for its symmetric operand,
-//! SYRK adds the triangle mask on the diagonal blocks of its panel closure,
-//! TRMM walks the triangular operand in diagonal blocks of
-//! [`BlockConfig::tri_block`] rows, and TRSM and the factorisations recurse
-//! until a small scalar base case remains, handling everything else with the
-//! same packed core. Presenting operands through accessors is what lets
-//! every kernel share one loop nest without materialising transposed, mirrored
-//! or masked copies.
+//! GEMM feeds plain (possibly transposed) accessors and SYMM a mirroring
+//! accessor for its symmetric operand. The triangle-aware kernels — TRMM,
+//! SYRK, TRSM and the factorisations — share one halving recursion instead:
+//! they split their triangle (or column range) near the middle until a
+//! small block remains, and every off-diagonal part is one GEMM-shaped
+//! update through [`BlockedDriver::accumulate`]. TRMM's and SYRK's small
+//! blocks are themselves one such update (over a zero-filled copy of the
+//! triangle, or a full square of which one triangle is kept); TRSM's and
+//! the factorisations' are scalar loops. Presenting operands through
+//! accessors is what lets every kernel share one loop nest without
+//! materialising transposed or mirrored copies.
 //!
 //! ## Tile dispatch
 //!
 //! The register tile is chosen at runtime ([`BlockConfig::tile`]) but the hot
-//! loop nest is monomorphic: [`BlockedDriver::accumulate_serial`] matches the
-//! [`TileVariant`] exactly once per call and enters a `const`-generic core, so
-//! the macro-kernel, the partial-tile edge handling and the micro-kernel all
-//! see compile-time `MR`/`NR`.
+//! loop nest is monomorphic: the serial core matches the [`TileVariant`]
+//! exactly once per call and enters a `const`-generic core, so the
+//! macro-kernel, the partial-tile edge handling and the micro-kernel all see
+//! compile-time `MR`/`NR`.
 //!
 //! ## Packing-buffer reuse
 //!
@@ -107,12 +109,6 @@ impl<'a> BlockedDriver<'a> {
         BlockedDriver { cfg }
     }
 
-    /// The configuration this driver blocks and parallelises with.
-    #[must_use]
-    pub fn cfg(&self) -> &'a BlockConfig {
-        self.cfg
-    }
-
     /// Accumulate `C += alpha * OpA * OpB` serially with cache blocking and
     /// packing. `load_a(i, p)` is the logical `m x k` left operand and
     /// `load_b(p, j)` the logical `k x n` right operand.
@@ -121,7 +117,7 @@ impl<'a> BlockedDriver<'a> {
     /// the entire blocked loop nest below this call sees compile-time
     /// `MR`/`NR`.
     #[allow(clippy::too_many_arguments)] // BLAS-style interface
-    pub fn accumulate_serial<FA, FB>(
+    fn accumulate_serial<FA, FB>(
         &self,
         m: usize,
         n: usize,
@@ -147,7 +143,7 @@ impl<'a> BlockedDriver<'a> {
         }
     }
 
-    /// The monomorphic serial core behind [`BlockedDriver::accumulate_serial`].
+    /// The monomorphic serial core behind `accumulate_serial`.
     #[allow(clippy::too_many_arguments)]
     fn serial_core<const MR: usize, const NR: usize, FA, FB>(
         &self,
@@ -250,9 +246,9 @@ impl<'a> BlockedDriver<'a> {
     /// concurrently; otherwise `f` sees the whole view as one panel.
     ///
     /// This is the one place in the crate that decides how output columns are
-    /// distributed to workers — SYRK's triangle-masked panels, TRSM's
-    /// independent right-hand-side columns and the parallel GEMM path all go
-    /// through it.
+    /// distributed to workers — SYRK's and right-side TRMM's column panels,
+    /// the independent right-hand-side columns of left-side TRMM and TRSM,
+    /// and the parallel GEMM path all go through it.
     pub fn for_each_panel<F>(&self, c: MatrixViewMut<'_>, parallel: bool, f: F)
     where
         F: Fn(usize, MatrixViewMut<'_>) + Sync,

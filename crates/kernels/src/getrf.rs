@@ -36,7 +36,8 @@
 
 use crate::config::BlockConfig;
 use crate::gemm::gemm_acc;
-use crate::trsm::{column_pair, owned, solve, split, Triangle};
+use crate::recursion::{check_square, column_pair, owned, split, Triangle};
+use crate::trsm::solve;
 use lamb_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// Widest column range factored by the scalar loop.
@@ -232,16 +233,6 @@ pub fn getrf_naive(a: &mut MatrixViewMut<'_>, piv: &mut Vec<usize>) -> Result<()
         }
     }
     Ok(())
-}
-
-fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
-    if a.rows() != a.cols() {
-        return Err(MatrixError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    Ok(a.rows())
 }
 
 /// Factor `a` out of place into the packed `n x (n+1)` operand the

@@ -13,12 +13,11 @@
 //! [`driver::BlockedDriver`], in the classic GotoBLAS/BLIS structure: the
 //! operands are packed into contiguous panels (`MR`-row panels of `op(A)`,
 //! `NR`-column panels of `op(B)`) and a register-blocked micro-kernel
-//! accumulates `MR x NR` tiles of `C`. Per-kernel code reduces to an element
-//! accessor (plain, transposed, symmetric-mirrored or triangle-masked), a
-//! panel policy and — for TRMM — a diagonal-block recurrence. TRSM and the
-//! factorisations are recursive: they split their triangle or column range
-//! until a small scalar base case remains, and everything else is a
-//! GEMM-shaped update on the engine. Parallelism is extracted over disjoint
+//! accumulates `MR x NR` tiles of `C`. GEMM and SYMM reduce to an element
+//! accessor (plain, transposed or symmetric-mirrored) and a panel policy.
+//! TRMM, SYRK, TRSM and the factorisations are recursive: they split their
+//! triangle or column range until a small block remains, and everything
+//! else is a GEMM-shaped update on the engine. Parallelism is extracted over disjoint
 //! column panels of `C`, which keeps the implementation free of `unsafe`.
 //!
 //! This crate substitutes for the Intel MKL used in the paper's experimental
@@ -61,6 +60,7 @@ pub mod microkernel;
 pub mod pack;
 pub mod potrf;
 pub mod qr;
+mod recursion;
 pub mod solver;
 pub mod symm;
 pub mod syrk;

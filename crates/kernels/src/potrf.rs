@@ -16,10 +16,9 @@
 //! 1. factors the leading `k x k` block by the recursion,
 //! 2. solves the panel below (right of) it in place with the recursive
 //!    triangular solve of [`mod@crate::trsm`], and
-//! 3. folds the panel into the trailing block with a rank-`k` update
-//!    (`rank_update`): [`crate::syrk::syrk`] when it runs in parallel or is
-//!    small, otherwise a recursion into GEMM-shaped off-diagonal blocks on
-//!    the packed core and SYRK diagonal blocks of order at most `LEAF`,
+//! 3. folds the panel into the trailing block with a rank-`k` update by
+//!    [`crate::syrk::syrk`], whose own halving puts all but a thin band
+//!    along the diagonal on the packed core,
 //!
 //! and leaves the trailing block to the next step. Blocks of order at most
 //! `BASE` are factored by a scalar loop over contiguous columns (reporting
@@ -36,16 +35,13 @@
 //! anomalies.
 
 use crate::config::BlockConfig;
-use crate::gemm::gemm_acc;
+use crate::recursion::{check_square, column_pair, owned, split, Triangle};
 use crate::syrk::syrk;
-use crate::trsm::{column_pair, owned, solve, split, Triangle};
-use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
+use crate::trsm::solve;
+use lamb_matrix::{MatrixError, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// Largest order factored by the scalar loop.
 const BASE: usize = 16;
-
-/// Largest diagonal block of a serial rank update handed to SYRK whole.
-const LEAF: usize = 32;
 
 /// Factor the `uplo` triangle of the square matrix `a` in place:
 /// `A = L·Lᵀ` for [`Uplo::Lower`], `A = Uᵀ·U` for [`Uplo::Upper`]. Only the
@@ -110,7 +106,7 @@ fn step(
             solve(Side::Right, t, &mut left.subview_mut(k, 0, r, k), cfg);
             let l21 = left.as_view().subview(k, 0, r, k);
             let mut a22 = right.subview_mut(k, 0, r, r);
-            rank_update(uplo, -1.0, &l21, Trans::No, &mut a22, cfg)
+            syrk(uplo, Trans::No, -1.0, &l21, 1.0, &mut a22, cfg)
         }
         Uplo::Upper => {
             // U12 := U11⁻ᵀ·A12, then A22 -= U12ᵀ·U12.
@@ -123,55 +119,9 @@ fn step(
             solve(Side::Left, t, &mut right.subview_mut(0, 0, k, r), cfg);
             let u12 = owned(&right.as_view().subview(0, 0, k, r));
             let mut a22 = right.subview_mut(k, 0, r, r);
-            rank_update(uplo, -1.0, &u12.view(), Trans::Yes, &mut a22, cfg)
+            syrk(uplo, Trans::Yes, -1.0, &u12.view(), 1.0, &mut a22, cfg)
         }
     }
-}
-
-/// `C := C + alpha·op(A)·op(A)ᵀ` on the `uplo` triangle of the square `c`,
-/// where `op(A)` (`a` or `aᵀ`, by `ta`) has as many rows as `c`. The
-/// opposite triangle of `c` is never written.
-///
-/// [`syrk`] computes each diagonal block of its column panels as a full
-/// square: cheap for blocks of order at most `LEAF` and for the narrow
-/// panels of its parallel path (one fork for the whole update), but twice
-/// the work for its one serial panel of order `c.rows()`. A larger serial
-/// update is therefore halved recursively instead: the off-diagonal block is
-/// one GEMM-shaped update on the packed core, the two diagonal blocks
-/// recurse.
-pub(crate) fn rank_update(
-    uplo: Uplo,
-    alpha: f64,
-    a: &MatrixView<'_>,
-    ta: Trans,
-    c: &mut MatrixViewMut<'_>,
-    cfg: &BlockConfig,
-) -> Result<()> {
-    let r = c.rows();
-    let k = ta.apply((a.rows(), a.cols())).1;
-    if r <= LEAF || cfg.should_parallelise(r, r, k) {
-        return syrk(uplo, ta, alpha, a, 1.0, c, cfg);
-    }
-    let h = split(r);
-    // The first h and the last r - h rows of op(A).
-    let (a1, a2) = match ta {
-        Trans::No => (a.subview(0, 0, h, k), a.subview(h, 0, r - h, k)),
-        Trans::Yes => (a.subview(0, 0, k, h), a.subview(0, h, k, r - h)),
-    };
-    let (mut c1, mut c2) = c.subview_mut(0, 0, r, r).split_at_col_mut(h);
-    rank_update(uplo, alpha, &a1, ta, &mut c1.subview_mut(0, 0, h, h), cfg)?;
-    match uplo {
-        Uplo::Lower => {
-            let mut c21 = c1.subview_mut(h, 0, r - h, h);
-            gemm_acc(alpha, &a2, ta, &a1, ta.flip(), &mut c21, cfg);
-        }
-        Uplo::Upper => {
-            let mut c12 = c2.subview_mut(0, 0, h, r - h);
-            gemm_acc(alpha, &a1, ta, &a2, ta.flip(), &mut c12, cfg);
-        }
-    }
-    let mut c22 = c2.subview_mut(h, 0, r - h, r - h);
-    rank_update(uplo, alpha, &a2, ta, &mut c22, cfg)
 }
 
 /// Scalar Cholesky of a block of order at most `BASE` over contiguous
@@ -231,32 +181,14 @@ fn chol_base(uplo: Uplo, a: &mut MatrixViewMut<'_>, offset: usize) -> Result<()>
 /// Same checks as [`potrf`].
 pub fn potrf_naive(uplo: Uplo, a: &mut MatrixViewMut<'_>) -> Result<()> {
     let n = check_square(a)?;
-    factor_diag_block(uplo, a, 0, n)
-}
-
-fn check_square(a: &MatrixViewMut<'_>) -> Result<usize> {
-    if a.rows() != a.cols() {
-        return Err(MatrixError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    Ok(a.rows())
-}
-
-/// Scalar unblocked Cholesky of the `kb x kb` diagonal block starting at
-/// `(k0, k0)`, reading and writing only the `uplo` triangle of that block
-/// (the right-looking sweep has already folded in every earlier block
-/// column). Pivot failures report the *absolute* index.
-fn factor_diag_block(uplo: Uplo, a: &mut MatrixViewMut<'_>, k0: usize, kb: usize) -> Result<()> {
     // Element (i, j) of the effective lower-triangular factor being built:
     // for Upper the roles of rows and columns swap (A = UᵀU is the Cholesky
     // of the same matrix with the factor living in the upper triangle).
     let at = |a: &MatrixViewMut<'_>, i: usize, j: usize| match uplo {
-        Uplo::Lower => a.at(k0 + i, k0 + j),
-        Uplo::Upper => a.at(k0 + j, k0 + i),
+        Uplo::Lower => a.at(i, j),
+        Uplo::Upper => a.at(j, i),
     };
-    for j in 0..kb {
+    for j in 0..n {
         let mut d = at(a, j, j);
         for p in 0..j {
             let v = at(a, j, p);
@@ -265,18 +197,18 @@ fn factor_diag_block(uplo: Uplo, a: &mut MatrixViewMut<'_>, k0: usize, kb: usize
         // The NaN check also rejects poisoned pivots (e.g. inf - inf
         // upstream), which would otherwise propagate silently through sqrt.
         if d <= 0.0 || d.is_nan() {
-            return Err(MatrixError::NotPositiveDefinite { index: k0 + j });
+            return Err(MatrixError::NotPositiveDefinite { index: j });
         }
         let d = d.sqrt();
-        *a.at_mut(k0 + j, k0 + j) = d;
-        for i in (j + 1)..kb {
+        *a.at_mut(j, j) = d;
+        for i in (j + 1)..n {
             let mut s = at(a, i, j);
             for p in 0..j {
                 s -= at(a, i, p) * at(a, j, p);
             }
             match uplo {
-                Uplo::Lower => *a.at_mut(k0 + i, k0 + j) = s / d,
-                Uplo::Upper => *a.at_mut(k0 + j, k0 + i) = s / d,
+                Uplo::Lower => *a.at_mut(i, j) = s / d,
+                Uplo::Upper => *a.at_mut(j, i) = s / d,
             }
         }
     }

@@ -15,8 +15,8 @@
 //!
 //! 1. factors the left `k` columns, full height, by the recursion,
 //! 2. forms their triangular factor `T` (`larft`, forward columnwise) from
-//!    one `VᵀV` product on the packed core, so the `k` reflectors are
-//!    `I - V·T·Vᵀ`, and
+//!    the upper triangle of `VᵀV`, one [`crate::syrk::syrk`] call, so the
+//!    `k` reflectors are `I - V·T·Vᵀ`, and
 //! 3. applies `Qₖᵀ = I - V·Tᵀ·Vᵀ` to the right columns in place with
 //!    three GEMM-shaped updates (`apply_block_reflector`),
 //!
@@ -37,8 +37,8 @@
 
 use crate::config::BlockConfig;
 use crate::gemm::gemm_acc;
-use crate::potrf::rank_update;
-use crate::trsm::{column_pair, owned, split};
+use crate::recursion::{column_pair, owned, split};
+use crate::syrk::syrk;
 use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans, Uplo};
 
 /// Widest column range factored by the scalar loop.
@@ -150,13 +150,13 @@ fn reflectors(a: &MatrixView<'_>) -> Matrix {
 
 /// LAPACK `larft` (forward, columnwise): the upper-triangular `T` with
 /// `H_0·H_1⋯H_{k-1} = I - V·T·Vᵀ`. The inner products of the reflectors come
-/// from one `VᵀV` product on the packed core (its upper triangle); the
+/// from one [`syrk`] call (the upper triangle of `VᵀV`); the
 /// `O(k³)` recurrence `T[0..j, j] = -tau_j·T[0..j, 0..j]·(VᵀV)[0..j, j]`
 /// reads it.
 fn larft(v: &MatrixView<'_>, tau: &[f64], cfg: &BlockConfig) -> Result<Matrix> {
     let k = v.cols();
     let mut s = Matrix::zeros(k, k);
-    rank_update(Uplo::Upper, 1.0, v, Trans::Yes, &mut s.view_mut(), cfg)?;
+    syrk(Uplo::Upper, Trans::Yes, 1.0, v, 0.0, &mut s.view_mut(), cfg)?;
     let mut t = Matrix::zeros(k, k);
     for j in 0..k {
         t[(j, j)] = tau[j];

@@ -6,9 +6,21 @@
 //! matters for the paper's Algorithm 2 of `A·Aᵀ·B`, which must explicitly
 //! copy the computed triangle into a full matrix before a subsequent GEMM can
 //! use it.
+//!
+//! Structure: the output columns are distributed as column panels
+//! ([`crate::driver::BlockedDriver::for_each_panel`]) — one fork when the
+//! update runs in parallel, one panel when it runs serially. Within a panel
+//! the rectangle below (lower) or above (upper) its diagonal block is one
+//! GEMM-shaped update on the packed core, and the diagonal block is halved
+//! (on a multiple of 8) like TRSM's triangle: the off-diagonal half of each
+//! split is one GEMM-shaped update, and a block of order at most `LEAF` is
+//! computed as a full square in a scratch of at most `LEAF²` elements whose
+//! triangle is added to `C`. So only `O(n·LEAF·k)` FLOPs are spent outside
+//! the triangle. POTRF's trailing update and QR's `larft` call [`syrk`].
 
 use crate::config::BlockConfig;
-use crate::driver::BlockedDriver;
+use crate::gemm::gemm_acc;
+use crate::recursion::{for_each_panel, split, triangle_rows, LEAF};
 use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Trans, Uplo};
 
 /// `C_uplo := alpha * op(A)·op(A)ᵀ + beta * C_uplo` where `op(A)` is `A`
@@ -42,79 +54,72 @@ pub fn syrk(
     if n == 0 || k == 0 || alpha == 0.0 {
         return Ok(());
     }
-
-    let a_data = a.as_slice();
-    let lda = a.ld();
-    // Logical op(A)[i, p] with op(A) of shape n x k.
-    let load = move |i: usize, p: usize| match trans {
-        Trans::No => a_data[i + p * lda],
-        Trans::Yes => a_data[p + i * lda],
+    let u = Update {
+        uplo,
+        trans,
+        alpha,
+        a: *a,
     };
+    for_each_panel(c.subview_mut(0, 0, n, n), k, cfg, |j0, mut panel, cfg| {
+        let w = panel.cols();
+        u.diag(j0, &mut panel.subview_mut(j0, 0, w, w), cfg);
+        let (r0, len) = match uplo {
+            Uplo::Lower => (j0 + w, n - j0 - w),
+            Uplo::Upper => (0, j0),
+        };
+        if len > 0 {
+            u.product(r0, j0, &mut panel.subview_mut(r0, 0, len, w), cfg);
+        }
+    });
+    Ok(())
+}
 
-    let driver = BlockedDriver::new(cfg);
-    let parallel = cfg.should_parallelise(n, n, k);
-    driver.for_each_panel(
-        c.subview_mut(0, 0, n, n),
-        parallel,
-        |j0, mut panel: MatrixViewMut<'_>| {
-            let w = panel.cols();
-            // Diagonal block: compute the full w x w product into a scratch
-            // buffer, then fold only the selected triangle into C so the
-            // opposite triangle of C is never written.
-            let mut diag = Matrix::zeros(w, w);
-            driver.accumulate_serial(
-                w,
-                w,
-                k,
-                alpha,
-                &|i, p| load(j0 + i, p),
-                &|p, j| load(j0 + j, p),
-                &mut diag.view_mut(),
-            );
-            match uplo {
-                Uplo::Lower => {
-                    for jj in 0..w {
-                        for ii in jj..w {
-                            *panel.at_mut(j0 + ii, jj) += diag[(ii, jj)];
-                        }
-                    }
-                    let below_rows = n - (j0 + w);
-                    if below_rows > 0 {
-                        let mut below = panel.subview_mut(j0 + w, 0, below_rows, w);
-                        driver.accumulate_serial(
-                            below_rows,
-                            w,
-                            k,
-                            alpha,
-                            &|i, p| load(j0 + w + i, p),
-                            &|p, j| load(j0 + j, p),
-                            &mut below,
-                        );
-                    }
-                }
-                Uplo::Upper => {
-                    for jj in 0..w {
-                        for ii in 0..=jj {
-                            *panel.at_mut(j0 + ii, jj) += diag[(ii, jj)];
-                        }
-                    }
-                    if j0 > 0 {
-                        let mut above = panel.subview_mut(0, 0, j0, w);
-                        driver.accumulate_serial(
-                            j0,
-                            w,
-                            k,
-                            alpha,
-                            &|i, p| load(i, p),
-                            &|p, j| load(j0 + j, p),
-                            &mut above,
-                        );
-                    }
+/// `C += alpha * op(A)·op(A)ᵀ` on the `uplo` triangle, blockwise.
+struct Update<'a> {
+    uplo: Uplo,
+    trans: Trans,
+    alpha: f64,
+    a: MatrixView<'a>,
+}
+
+impl Update<'_> {
+    /// `c += alpha * op(A)[r0.., :]·op(A)[c0.., :]ᵀ` for the block `c` of
+    /// `C` at rows `r0..` and columns `c0..`, which lies inside the triangle.
+    fn product(&self, r0: usize, c0: usize, c: &mut MatrixViewMut<'_>, cfg: &BlockConfig) {
+        let rows = |r0: usize, len: usize| match self.trans {
+            Trans::No => self.a.subview(r0, 0, len, self.a.cols()),
+            Trans::Yes => self.a.subview(0, r0, self.a.rows(), len),
+        };
+        let (a_r, a_c, t) = (rows(r0, c.rows()), rows(c0, c.cols()), self.trans);
+        gemm_acc(self.alpha, &a_r, t, &a_c, t.flip(), c, cfg);
+    }
+
+    /// The diagonal block of `C` at `(j0, j0)`, of the order of `c`, by
+    /// halving it down to blocks of order at most `LEAF`; each of those is
+    /// computed as a full square and its triangle added to `c`.
+    fn diag(&self, j0: usize, c: &mut MatrixViewMut<'_>, cfg: &BlockConfig) {
+        let n = c.rows();
+        if n <= LEAF {
+            let mut square = Matrix::zeros(n, n);
+            self.product(j0, j0, &mut square.view_mut(), cfg);
+            for j in 0..n {
+                let rows = triangle_rows(self.uplo, j, n);
+                let src = &square.col(j)[rows.clone()];
+                for (x, &s) in c.col_mut(j)[rows].iter_mut().zip(src) {
+                    *x += s;
                 }
             }
-        },
-    );
-    Ok(())
+            return;
+        }
+        let h = split(n);
+        let (mut c1, mut c2) = c.subview_mut(0, 0, n, n).split_at_col_mut(h);
+        self.diag(j0, &mut c1.subview_mut(0, 0, h, h), cfg);
+        match self.uplo {
+            Uplo::Lower => self.product(j0 + h, j0, &mut c1.subview_mut(h, 0, n - h, h), cfg),
+            Uplo::Upper => self.product(j0, j0 + h, &mut c2.subview_mut(0, 0, h, n - h), cfg),
+        }
+        self.diag(j0 + h, &mut c2.subview_mut(h, 0, n - h, n - h), cfg);
+    }
 }
 
 /// Scale only the `uplo` triangle of `c` by `beta`, honouring the BLAS rule
@@ -125,12 +130,7 @@ fn scale_triangle(beta: f64, uplo: Uplo, c: &mut MatrixViewMut<'_>) {
     }
     let n = c.cols();
     for j in 0..n {
-        let range = match uplo {
-            Uplo::Lower => j..n,
-            Uplo::Upper => 0..j + 1,
-        };
-        let col = c.col_mut(j);
-        for x in &mut col[range] {
+        for x in &mut c.col_mut(j)[triangle_rows(uplo, j, n)] {
             *x = if beta == 0.0 { 0.0 } else { beta * *x };
         }
     }

@@ -11,20 +11,24 @@
 //! [`crate::flops::trmm_flops`]) — which is exactly the FLOPs-versus-time
 //! tension the paper's anomaly taxonomy feeds on.
 //!
-//! The implementation is a thin specialisation of the shared
-//! [`BlockedDriver`]. On the left, output columns are distributed as panels,
-//! and within a panel the rows of `C` are walked in diagonal blocks of
-//! [`BlockConfig::tri_block`] rows. On the right the roles of rows and
-//! columns swap: within each column panel the *columns* are walked in
-//! diagonal blocks of the triangle, since it is now the output column index
-//! that selects a triangular stripe of `op(L)`. Either way each block's
-//! contribution splits into a dense rectangle strictly inside the triangle
-//! (handled by the packed rectangular core) plus the small diagonal block
-//! itself (handled by the same core through a triangle-masked accessor).
+//! Structure: the recursion of [`mod@crate::trsm`], with products in place
+//! of solves. The triangle is halved (on a multiple of 8) until its order
+//! is at most `LEAF`; each split multiplies both diagonal halves
+//! recursively and adds the off-diagonal block's product with one
+//! GEMM-shaped update on the packed core. A leaf copies its block of
+//! `op(L)` into a compact buffer, zero outside the triangle, and multiplies
+//! it with one GEMM-shaped update, so only `O(order·LEAF)` FLOPs per column
+//! of `B` are spent on zeros. On the left the columns of `B` are
+//! independent, so they are distributed as column panels
+//! ([`crate::driver::BlockedDriver::for_each_panel`]), each multiplied
+//! serially; on the right the split runs over columns of `C`, which split
+//! into disjoint views, and each update may parallelise on its own.
 
 use crate::config::BlockConfig;
-use crate::driver::{scale_inplace, BlockedDriver};
-use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
+use crate::driver::scale_inplace;
+use crate::gemm::gemm_acc;
+use crate::recursion::{for_each_panel, split, Triangle, LEAF};
+use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// Validate the operand shapes shared by TRMM and TRSM: `L` square of order
 /// `m` (Left) or `n` (Right), `B` and the output both `m x n`.
@@ -94,153 +98,107 @@ pub fn trmm(
         return Ok(());
     }
 
-    let l_data = l.as_slice();
-    let ldl = l.ld();
-    let b_data = b.as_slice();
-    let ldb = b.ld();
-    // Element (i, p) of op(L) ignoring the triangle mask.
-    let op_l = move |i: usize, p: usize| match trans {
-        Trans::No => l_data[i + p * ldl],
-        Trans::Yes => l_data[p + i * ldl],
+    let t = Triangle {
+        l: *l,
+        uplo,
+        trans,
+        unit: false,
     };
-    // The triangle op(L) effectively occupies: transposition flips it.
-    let eff = uplo.under(trans);
-    let load_b = move |p: usize, j: usize| b_data[p + j * ldb];
-
-    let driver = BlockedDriver::new(cfg);
-    let tb = cfg.tri_block.max(1);
-    let inner = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    let parallel = cfg.should_parallelise(m, n, inner);
     match side {
-        Side::Left => {
-            driver.for_each_panel(c.subview_mut(0, 0, m, n), parallel, |j0, mut panel| {
-                let w = panel.cols();
-                let mut i0 = 0;
-                while i0 < m {
-                    let mb = tb.min(m - i0);
-                    // Diagonal block: mask the accessor to the effective triangle.
-                    {
-                        let mut out = panel.subview_mut(i0, 0, mb, w);
-                        let masked = |i: usize, p: usize| {
-                            if eff.contains(i0 + i, i0 + p) {
-                                op_l(i0 + i, i0 + p)
-                            } else {
-                                0.0
-                            }
-                        };
-                        driver.accumulate_serial(
-                            mb,
-                            w,
-                            mb,
-                            alpha,
-                            &masked,
-                            &|p, j| load_b(i0 + p, j0 + j),
-                            &mut out,
-                        );
-                    }
-                    // Off-diagonal rectangle: entirely inside the triangle, so
-                    // the packed core reads op(L) unmasked.
-                    match eff {
-                        Uplo::Lower if i0 > 0 => {
-                            let mut out = panel.subview_mut(i0, 0, mb, w);
-                            driver.accumulate_serial(
-                                mb,
-                                w,
-                                i0,
-                                alpha,
-                                &|i, p| op_l(i0 + i, p),
-                                &|p, j| load_b(p, j0 + j),
-                                &mut out,
-                            );
-                        }
-                        Uplo::Upper if i0 + mb < m => {
-                            let right = m - (i0 + mb);
-                            let mut out = panel.subview_mut(i0, 0, mb, w);
-                            driver.accumulate_serial(
-                                mb,
-                                w,
-                                right,
-                                alpha,
-                                &|i, p| op_l(i0 + i, i0 + mb + p),
-                                &|p, j| load_b(i0 + mb + p, j0 + j),
-                                &mut out,
-                            );
-                        }
-                        _ => {}
-                    }
-                    i0 += tb;
-                }
-            });
-        }
-        Side::Right => {
-            // C[:, q] = sum_p B[:, p] * op(L)[p, q]: the output column index
-            // selects the triangular stripe, so the diagonal-block walk runs
-            // over column blocks inside each panel.
-            driver.for_each_panel(c.subview_mut(0, 0, m, n), parallel, |j0, mut panel| {
-                let w = panel.cols();
-                let mut c0 = 0;
-                while c0 < w {
-                    let cb = tb.min(w - c0);
-                    let q0 = j0 + c0;
-                    // Diagonal block of op(L): triangle-masked accessor.
-                    {
-                        let mut out = panel.subview_mut(0, c0, m, cb);
-                        let masked = |p: usize, j: usize| {
-                            if eff.contains(q0 + p, q0 + j) {
-                                op_l(q0 + p, q0 + j)
-                            } else {
-                                0.0
-                            }
-                        };
-                        driver.accumulate_serial(
-                            m,
-                            cb,
-                            cb,
-                            alpha,
-                            &|i, p| load_b(i, q0 + p),
-                            &masked,
-                            &mut out,
-                        );
-                    }
-                    // Off-diagonal rectangle of op(L) above (Upper) or below
-                    // (Lower) the diagonal block: unmasked packed core.
-                    match eff {
-                        Uplo::Upper if q0 > 0 => {
-                            let mut out = panel.subview_mut(0, c0, m, cb);
-                            driver.accumulate_serial(
-                                m,
-                                cb,
-                                q0,
-                                alpha,
-                                &load_b,
-                                &|p, j| op_l(p, q0 + j),
-                                &mut out,
-                            );
-                        }
-                        Uplo::Lower if q0 + cb < n => {
-                            let below = n - (q0 + cb);
-                            let mut out = panel.subview_mut(0, c0, m, cb);
-                            driver.accumulate_serial(
-                                m,
-                                cb,
-                                below,
-                                alpha,
-                                &|i, p| load_b(i, q0 + cb + p),
-                                &|p, j| op_l(q0 + cb + p, q0 + j),
-                                &mut out,
-                            );
-                        }
-                        _ => {}
-                    }
-                    c0 += tb;
-                }
-            });
-        }
+        Side::Left => for_each_panel(c.subview_mut(0, 0, m, n), m, cfg, |j0, mut panel, cfg| {
+            let w = panel.cols();
+            mul_left(alpha, t, &b.subview(0, j0, m, w), &mut panel, cfg)
+        }),
+        // A column panel of C reads all of B: the panel's diagonal block of
+        // op(L) by the recursion, its other rows of op(L) in one update.
+        Side::Right => for_each_panel(c.subview_mut(0, 0, m, n), n, cfg, |j0, mut panel, cfg| {
+            let w = panel.cols();
+            mul_right(
+                alpha,
+                t.diag(j0, w),
+                &b.subview(0, j0, m, w),
+                &mut panel,
+                cfg,
+            );
+            let (p0, len) = match t.eff() {
+                Uplo::Upper => (0, j0),
+                Uplo::Lower => (j0 + w, n - j0 - w),
+            };
+            if len > 0 {
+                let (l_off, tl) = t.block(p0, j0, len, w);
+                let b_off = b.subview(0, p0, m, len);
+                gemm_acc(alpha, &b_off, Trans::No, &l_off, tl, &mut panel, cfg);
+            }
+        }),
     }
     Ok(())
+}
+
+/// `op(L)` as a compact matrix, zero outside its triangle.
+fn compact(t: Triangle<'_>) -> Matrix {
+    let k = t.l.rows();
+    let mut tri = Matrix::zeros(k, k);
+    t.compact(tri.as_mut_slice());
+    tri
+}
+
+/// `c += alpha * op(L)·b` by halving the triangle.
+fn mul_left(
+    alpha: f64,
+    t: Triangle<'_>,
+    b: &MatrixView<'_>,
+    c: &mut MatrixViewMut<'_>,
+    cfg: &BlockConfig,
+) {
+    let (m, w) = (c.rows(), c.cols());
+    if m <= LEAF {
+        return gemm_acc(alpha, &compact(t).view(), Trans::No, b, Trans::No, c, cfg);
+    }
+    let (h, r) = (split(m), m - split(m));
+    for (k0, kb) in [(0, h), (h, r)] {
+        let (b_k, mut c_k) = (b.subview(k0, 0, kb, w), c.subview_mut(k0, 0, kb, w));
+        mul_left(alpha, t.diag(k0, kb), &b_k, &mut c_k, cfg);
+    }
+    // The off-diagonal block maps one half of B onto the other half of C.
+    let ((l_off, tl), (src, src_len), (dst, dst_len)) = match t.eff() {
+        Uplo::Lower => (t.block(h, 0, r, h), (0, h), (h, r)),
+        Uplo::Upper => (t.block(0, h, h, r), (h, r), (0, h)),
+    };
+    let b_src = b.subview(src, 0, src_len, w);
+    let mut c_dst = c.subview_mut(dst, 0, dst_len, w);
+    gemm_acc(alpha, &l_off, tl, &b_src, Trans::No, &mut c_dst, cfg);
+}
+
+/// `c += alpha * b·op(L)` by halving the triangle; the halves of `c` are
+/// disjoint column ranges.
+fn mul_right(
+    alpha: f64,
+    t: Triangle<'_>,
+    b: &MatrixView<'_>,
+    c: &mut MatrixViewMut<'_>,
+    cfg: &BlockConfig,
+) {
+    let (m, n) = (c.rows(), c.cols());
+    if n <= LEAF {
+        return gemm_acc(alpha, b, Trans::No, &compact(t).view(), Trans::No, c, cfg);
+    }
+    let (h, r) = (split(n), n - split(n));
+    let (b1, b2) = (b.subview(0, 0, m, h), b.subview(0, h, m, r));
+    let (mut c1, mut c2) = c.subview_mut(0, 0, m, n).split_at_col_mut(h);
+    mul_right(alpha, t.diag(0, h), &b1, &mut c1, cfg);
+    mul_right(alpha, t.diag(h, r), &b2, &mut c2, cfg);
+    // Column q of B·op(L) reads the columns p <= q (Upper) or p >= q
+    // (Lower) of B.
+    match t.eff() {
+        Uplo::Upper => {
+            let (l12, tl) = t.block(0, h, h, r);
+            gemm_acc(alpha, &b1, Trans::No, &l12, tl, &mut c2, cfg);
+        }
+        Uplo::Lower => {
+            let (l21, tl) = t.block(h, 0, r, h);
+            gemm_acc(alpha, &b2, Trans::No, &l21, tl, &mut c1, cfg);
+        }
+    }
 }
 
 /// Reference TRMM: the textbook triple loop over the masked triangle. Used by

@@ -12,7 +12,7 @@
 //! Structure: a **recursive** solve on the packed core. The triangle is
 //! halved (on a multiple of 8) until its order is at most `BASE`; each split
 //! solves one half, folds it into the other with one GEMM-shaped update on
-//! [`BlockedDriver::accumulate`], and solves the other half. So all but
+//! [`crate::driver::BlockedDriver::accumulate`], and solves the other half. So all but
 //! `O(order·BASE)` FLOPs per right-hand side run on the packed core, in
 //! updates whose inner dimension is half of the current order rather than
 //! one fixed block. The base case copies its diagonal block of `op(L)` into
@@ -21,9 +21,10 @@
 //! block sizes.
 //!
 //! On the left the right-hand-side columns are independent, so they are
-//! distributed as column panels ([`BlockedDriver::for_each_panel`]), each
-//! solved serially; the rows a split couples are copied out of `X` before
-//! the update, since one column-major view cannot lend disjoint row ranges.
+//! distributed as column panels
+//! ([`crate::driver::BlockedDriver::for_each_panel`]), each solved
+//! serially; the rows a split couples are copied out of `X` before the
+//! update, since one column-major view cannot lend disjoint row ranges.
 //! On the right the split runs over columns of `X`, which split into
 //! disjoint views, and each update may parallelise on its own.
 //!
@@ -31,10 +32,10 @@
 //! (`solve`), with the triangle read from the matrix being factored.
 
 use crate::config::BlockConfig;
-use crate::driver::BlockedDriver;
 use crate::gemm::gemm_acc;
+use crate::recursion::{column_pair, for_each_panel, owned, split, Triangle};
 use crate::trmm::check_triangular_shapes;
-use lamb_matrix::{Matrix, MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
+use lamb_matrix::{MatrixError, MatrixView, MatrixViewMut, Result, Side, Trans, Uplo};
 
 /// Largest triangle order the recursion solves by substitution.
 const BASE: usize = 16;
@@ -174,63 +175,6 @@ fn check_diagonal(side: Side, l: &MatrixView<'_>, m: usize, n: usize) -> Result<
     Ok(())
 }
 
-/// The triangular operand `op(L)` of an in-place solve.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Triangle<'a> {
-    /// The square matrix holding the triangle.
-    pub(crate) l: MatrixView<'a>,
-    /// The stored triangle; the other one is never read.
-    pub(crate) uplo: Uplo,
-    /// Whether the solve uses `Lᵀ`.
-    pub(crate) trans: Trans,
-    /// Whether the diagonal is an implicit one; it is then never read.
-    pub(crate) unit: bool,
-}
-
-impl<'a> Triangle<'a> {
-    /// The triangle `op(L)` occupies.
-    fn eff(&self) -> Uplo {
-        self.uplo.under(self.trans)
-    }
-
-    /// The diagonal block `op(L)[k0..k0+kb, k0..k0+kb]`.
-    fn diag(&self, k0: usize, kb: usize) -> Triangle<'a> {
-        Triangle {
-            l: self.l.subview(k0, k0, kb, kb),
-            ..*self
-        }
-    }
-
-    /// The off-diagonal block `op(L)[r0..r0+nr, c0..c0+nc]` as a view of `L`
-    /// and the transposition that turns it into the block.
-    fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> (MatrixView<'a>, Trans) {
-        match self.trans {
-            Trans::No => (self.l.subview(r0, c0, nr, nc), Trans::No),
-            Trans::Yes => (self.l.subview(c0, r0, nc, nr), Trans::Yes),
-        }
-    }
-
-    /// `op(L)` of a block of order at most `BASE`, column-major with leading
-    /// dimension equal to its order, zero outside the effective triangle.
-    fn compact(&self, buf: &mut [f64; BASE * BASE]) -> usize {
-        let k = self.l.rows();
-        let eff = self.eff();
-        for p in 0..k {
-            for i in 0..k {
-                buf[i + p * k] = if eff.contains(i, p) {
-                    match self.trans {
-                        Trans::No => self.l.at(i, p),
-                        Trans::Yes => self.l.at(p, i),
-                    }
-                } else {
-                    0.0
-                };
-            }
-        }
-        k
-    }
-}
-
 /// Overwrite `x` with `op(L)⁻¹·x` (Left) or `x·op(L)⁻¹` (Right). The
 /// triangle's diagonal must be nonzero (or `unit`); callers check it.
 pub(crate) fn solve(side: Side, t: Triangle<'_>, x: &mut MatrixViewMut<'_>, cfg: &BlockConfig) {
@@ -239,21 +183,11 @@ pub(crate) fn solve(side: Side, t: Triangle<'_>, x: &mut MatrixViewMut<'_>, cfg:
         return;
     }
     match side {
-        Side::Left => {
-            // Independent right-hand-side columns: one serial recursion per
-            // column panel, whether or not the panels run in parallel.
-            let parallel = cfg.should_parallelise(m, n, m);
-            let serial = BlockConfig {
-                parallel: false,
-                ..cfg.clone()
-            };
-            let inner = if parallel { &serial } else { cfg };
-            BlockedDriver::new(cfg).for_each_panel(
-                x.subview_mut(0, 0, m, n),
-                parallel,
-                |_, mut panel| solve_left(t, &mut panel, inner),
-            );
-        }
+        // Independent right-hand-side columns: one serial recursion per
+        // column panel, whether or not the panels run in parallel.
+        Side::Left => for_each_panel(x.subview_mut(0, 0, m, n), m, cfg, |_, mut panel, cfg| {
+            solve_left(t, &mut panel, cfg)
+        }),
         Side::Right => solve_right(t, x, cfg),
     }
 }
@@ -265,33 +199,17 @@ fn solve_left(t: Triangle<'_>, x: &mut MatrixViewMut<'_>, cfg: &BlockConfig) {
         base_left(t, x);
         return;
     }
-    let h = split(m);
-    let r = m - h;
+    let (h, r) = (split(m), m - split(m));
     // Solve the half `op(L)` reaches first, then fold it into the other.
-    let ((first, first_len), (second, second_len), (l_off, tl)) = match t.eff() {
+    let ((f0, fl), (s0, sl), (l_off, tl)) = match t.eff() {
         Uplo::Lower => ((0, h), (h, r), t.block(h, 0, r, h)),
         Uplo::Upper => ((h, r), (0, h), t.block(0, h, h, r)),
     };
-    solve_left(
-        t.diag(first, first_len),
-        &mut x.subview_mut(first, 0, first_len, w),
-        cfg,
-    );
-    let solved = owned(&x.as_view().subview(first, 0, first_len, w));
-    gemm_acc(
-        -1.0,
-        &l_off,
-        tl,
-        &solved.view(),
-        Trans::No,
-        &mut x.subview_mut(second, 0, second_len, w),
-        cfg,
-    );
-    solve_left(
-        t.diag(second, second_len),
-        &mut x.subview_mut(second, 0, second_len, w),
-        cfg,
-    );
+    solve_left(t.diag(f0, fl), &mut x.subview_mut(f0, 0, fl, w), cfg);
+    let solved = owned(&x.as_view().subview(f0, 0, fl, w));
+    let mut x2 = x.subview_mut(s0, 0, sl, w);
+    gemm_acc(-1.0, &l_off, tl, &solved.view(), Trans::No, &mut x2, cfg);
+    solve_left(t.diag(s0, sl), &mut x2, cfg);
 }
 
 /// `x := x·op(L)⁻¹` by halving the triangle; the halves of `x` are
@@ -400,47 +318,13 @@ fn base_right(t: Triangle<'_>, x: &mut MatrixViewMut<'_>) {
     }
 }
 
-/// Column `dst` (mutably) and column `src` (`src != dst`) of a column-major
-/// buffer with leading dimension `ld`, `rows` long each.
-pub(crate) fn column_pair(
-    data: &mut [f64],
-    ld: usize,
-    rows: usize,
-    dst: usize,
-    src: usize,
-) -> (&mut [f64], &[f64]) {
-    debug_assert_ne!(dst, src);
-    if src < dst {
-        let (head, tail) = data.split_at_mut(dst * ld);
-        (&mut tail[..rows], &head[src * ld..src * ld + rows])
-    } else {
-        let (head, tail) = data.split_at_mut(src * ld);
-        (&mut head[dst * ld..dst * ld + rows], &tail[..rows])
-    }
-}
-
-/// An owned, compact copy of a window.
-pub(crate) fn owned(v: &MatrixView<'_>) -> Matrix {
-    let mut out = Matrix::zeros(v.rows(), v.cols());
-    for j in 0..v.cols() {
-        out.col_mut(j).copy_from_slice(v.col(j));
-    }
-    out
-}
-
-/// Where the recursive kernels split an order `n >= 2`: near the middle, on
-/// a multiple of 8 when that leaves both parts nonempty, so the leading part
-/// fills whole register tiles.
-pub(crate) fn split(n: usize) -> usize {
-    (n / 2).next_multiple_of(8).min(n - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trmm::trmm_naive;
     use lamb_matrix::ops::max_abs_diff;
     use lamb_matrix::random::{random_seeded, random_triangular};
+    use lamb_matrix::Matrix;
 
     fn check(
         side: Side,
