@@ -70,22 +70,23 @@ pub(crate) fn gemm_acc(
     cfg: &BlockConfig,
 ) {
     let (m, k) = transa.apply((a.rows(), a.cols()));
-    debug_assert_eq!(transb.apply((b.rows(), b.cols())), (k, c.cols()));
+    let n = c.cols();
+    debug_assert_eq!(transb.apply((b.rows(), b.cols())), (k, n));
     debug_assert_eq!(c.rows(), m);
-    let a_data = a.as_slice();
-    let lda = a.ld();
-    let b_data = b.as_slice();
-    let ldb = b.ld();
-    let load_a = move |i: usize, p: usize| match transa {
-        Trans::No => a_data[i + p * lda],
-        Trans::Yes => a_data[p + i * lda],
-    };
-    let load_b = move |p: usize, j: usize| match transb {
-        Trans::No => b_data[p + j * ldb],
-        Trans::Yes => b_data[j + p * ldb],
-    };
-
-    BlockedDriver::new(cfg).accumulate(m, c.cols(), k, alpha, &load_a, &load_b, c);
+    let (a, lda, b, ldb) = (a.as_slice(), a.ld(), b.as_slice(), b.ld());
+    // One accessor pair per transposition, so that packing, which calls an
+    // accessor per element, does not also test the transposition each time.
+    let a_no = |i: usize, p: usize| a[i + p * lda];
+    let a_yes = |i: usize, p: usize| a[p + i * lda];
+    let b_no = |p: usize, j: usize| b[p + j * ldb];
+    let b_yes = |p: usize, j: usize| b[j + p * ldb];
+    let d = BlockedDriver::new(cfg);
+    match (transa, transb) {
+        (Trans::No, Trans::No) => d.accumulate(m, n, k, alpha, &a_no, &b_no, c),
+        (Trans::No, Trans::Yes) => d.accumulate(m, n, k, alpha, &a_no, &b_yes, c),
+        (Trans::Yes, Trans::No) => d.accumulate(m, n, k, alpha, &a_yes, &b_no, c),
+        (Trans::Yes, Trans::Yes) => d.accumulate(m, n, k, alpha, &a_yes, &b_yes, c),
+    }
 }
 
 #[cfg(test)]

@@ -17,8 +17,9 @@
 //! accessor (plain, transposed or symmetric-mirrored) and a panel policy.
 //! TRMM, SYRK, TRSM and the factorisations are recursive: they split their
 //! triangle or column range until a small block remains, and everything
-//! else is a GEMM-shaped update on the engine. Parallelism is extracted over disjoint
-//! column panels of `C`, which keeps the implementation free of `unsafe`.
+//! else is a GEMM-shaped update on the engine. Parallelism is extracted
+//! over disjoint column panels of `C`, which keeps the implementation free
+//! of `unsafe`.
 //!
 //! This crate substitutes for the Intel MKL used in the paper's experimental
 //! setup; see `DESIGN.md` at the workspace root for the substitution argument.

@@ -18,11 +18,13 @@
 //! GEMM-shaped update on the packed core. A leaf copies its block of
 //! `op(L)` into a compact buffer, zero outside the triangle, and multiplies
 //! it with one GEMM-shaped update, so only `O(order·LEAF)` FLOPs per column
-//! of `B` are spent on zeros. On the left the columns of `B` are
-//! independent, so they are distributed as column panels
-//! ([`crate::driver::BlockedDriver::for_each_panel`]), each multiplied
-//! serially; on the right the split runs over columns of `C`, which split
-//! into disjoint views, and each update may parallelise on its own.
+//! of `B` are spent on zeros. Column panels of `C` are independent
+//! ([`crate::driver::BlockedDriver::for_each_panel`]: one fork when the
+//! kernel runs in parallel, one panel when it runs serially), each
+//! computed serially. On the left a panel is the recursion over its
+//! columns of `B`. On the right it is the recursion over its diagonal
+//! block of `op(L)`, whose halves are disjoint column ranges, plus one
+//! update for the rest of its columns of `op(L)`.
 
 use crate::config::BlockConfig;
 use crate::driver::scale_inplace;

@@ -12,11 +12,13 @@
 //! Structure: a **recursive** solve on the packed core. The triangle is
 //! halved (on a multiple of 8) until its order is at most `BASE`; each split
 //! solves one half, folds it into the other with one GEMM-shaped update on
-//! [`crate::driver::BlockedDriver::accumulate`], and solves the other half. So all but
-//! `O(order·BASE)` FLOPs per right-hand side run on the packed core, in
-//! updates whose inner dimension is half of the current order rather than
-//! one fixed block. The base case copies its diagonal block of `op(L)` into
-//! a compact buffer and substitutes with contiguous vector loops.
+//! [`crate::driver::BlockedDriver::accumulate`], and solves the other half.
+//! So all but `O(order·BASE)` FLOPs per right-hand side run on the packed
+//! core, in updates whose inner dimension is half of the current order
+//! rather than one fixed block. The base case copies its diagonal block of
+//! `op(L)` into a compact buffer and substitutes with contiguous vector
+//! loops. TRMM and SYRK run the same recursion with products in place of
+//! solves.
 //! [`BlockConfig::tri_block`] plays no part: the recursion picks its own
 //! block sizes.
 //!
