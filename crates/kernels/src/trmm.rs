@@ -115,13 +115,8 @@ pub fn trmm(
         // op(L) by the recursion, its other rows of op(L) in one update.
         Side::Right => for_each_panel(c.subview_mut(0, 0, m, n), n, cfg, |j0, mut panel, cfg| {
             let w = panel.cols();
-            mul_right(
-                alpha,
-                t.diag(j0, w),
-                &b.subview(0, j0, m, w),
-                &mut panel,
-                cfg,
-            );
+            let b_j = b.subview(0, j0, m, w);
+            mul_right(alpha, t.diag(j0, w), &b_j, &mut panel, cfg);
             let (p0, len) = match t.eff() {
                 Uplo::Upper => (0, j0),
                 Uplo::Lower => (j0 + w, n - j0 - w),
